@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="number of subsamples")
     p.add_argument("--seed", type=int, required=True, help="master seed")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--workers", type=int, default=0, help="0 = auto")
+    p.add_argument("--workers", type=int, default=0,
+                   help="accepted, changes nothing: estimate runs single-threaded")
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.add_argument("--mode", choices=["jds", "sos"], default="jds",
                    help="which point estimate centers the confidence interval")

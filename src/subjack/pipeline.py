@@ -1,33 +1,18 @@
 """End-to-end estimation over an on-disk dataset.
 
-Work items are subsample ordinals: each k derives its own seed, draws its
-indices, reads the rows, and jackknifes them. Workers only change who computes
-which k, never the numbers — the reduction is ordered by k.
+Subsamples k = 1..K run in order in the calling thread: each k derives its own
+seed, draws its indices, reads the rows, and jackknifes them, and results are
+reduced in k order. The per-k numpy calls are too small for threads to help;
+a thread pool measured slower.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .estimator import EstimateReport, SubsampleResult, aggregate, jackknife_subsample
+from .estimator import EstimateReport, aggregate, jackknife_subsample
 from .sampling import RNG_ID, SamplingPlan
 from .stats import Statistic, parse_statistic
 from .store import DatasetHandle, open_dataset
-
-
-def resolve_workers(workers: int | None) -> int:
-    if workers is None or workers <= 0:
-        return min(os.cpu_count() or 1, 8)
-    return workers
-
-
-def _subsample_result(
-    handle: DatasetHandle, stat: Statistic, plan: SamplingPlan, k: int
-) -> SubsampleResult:
-    indices = plan.indices_for(k)
-    batch = handle.read_records(indices)
-    return jackknife_subsample(stat, stat.phi(batch.rows), k=k)
 
 
 def run_estimate(
@@ -41,7 +26,11 @@ def run_estimate(
     workers: int | None = 1,
     ci_center: str = "jds",
 ) -> EstimateReport:
-    """Estimate a statistic from K subsamples of size n drawn with replacement."""
+    """Estimate a statistic from K subsamples of size n drawn with replacement.
+
+    ``workers`` is accepted for compatibility and selects nothing: every run is
+    single-threaded, and the report never depends on it.
+    """
     handle = data if isinstance(data, DatasetHandle) else open_dataset(data)
     stat = parse_statistic(statistic) if isinstance(statistic, str) else statistic
     stat.validate_columns(handle.col_count)
@@ -49,19 +38,10 @@ def run_estimate(
         raise ValueError("jackknife estimation needs subsample size n >= 2")
     plan = SamplingPlan(n_rows=handle.row_count, n=n, K=K, master_seed=master_seed)
 
-    n_workers = resolve_workers(workers)
-    ordinals = range(1, K + 1)
-    if n_workers <= 1 or K == 1:
-        results = [_subsample_result(handle, stat, plan, k) for k in ordinals]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(
-                pool.map(
-                    lambda k: _subsample_result(handle, stat, plan, k),
-                    ordinals,
-                    chunksize=max(1, K // (4 * n_workers)),
-                )
-            )
+    results = [
+        jackknife_subsample(stat, stat.phi(handle.read_records(plan.indices_for(k)).rows), k=k)
+        for k in range(1, K + 1)
+    ]
     return aggregate(
         results,
         handle.row_count,

@@ -11,6 +11,7 @@ import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
@@ -18,9 +19,10 @@ from typing import Any
 import numpy as np
 
 from .estimator import normal_quantile
-from .pipeline import run_estimate, resolve_workers
+from .pipeline import run_estimate
 from .sampling import REPLICATION_SEED_OFFSET, subsample_seed
-from .store import DatasetHeader, DatasetWriter, open_dataset
+from .stats import parse_statistic
+from .store import DatasetHeader, DatasetWriter
 
 _GEN_CHUNK = 1 << 18
 
@@ -63,6 +65,18 @@ def generate_bivariate_normal(
     return writer.close()
 
 
+@contextmanager
+def temp_dataset(seed: int, n_rows: int, sigma):
+    """Yield the path of a generated temp dataset, unlinked on every exit."""
+    fd, path = tempfile.mkstemp(suffix=".sjds")
+    os.close(fd)
+    try:
+        generate_bivariate_normal(seed, n_rows, sigma, path)
+        yield path
+    finally:
+        Path(path).unlink(missing_ok=True)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One Monte Carlo experiment: dataset x statistic x (n, K) x M."""
@@ -81,6 +95,13 @@ class ExperimentConfig:
             raise ValueError("replication count M must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        if self.n < 2:
+            raise ValueError("jackknife estimation needs subsample size n >= 2")
+        if self.K < 1:
+            raise ValueError("subsample count K must be >= 1")
+        stat = parse_statistic(self.statistic)
+        if isinstance(self.dataset, dict):
+            stat.validate_columns(2)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -155,26 +176,25 @@ def replication_seed(master_seed: int, m: int) -> int:
     return subsample_seed(master_seed, REPLICATION_SEED_OFFSET + m)
 
 
-_WORKER_HANDLES: dict[str, Any] = {}
+def resolve_workers(workers: int | None) -> int:
+    """Process count for a replication pool; None or <= 0 means auto."""
+    if workers is None or workers <= 0:
+        return min(os.cpu_count() or 1, 8)
+    return workers
 
 
 def _replication_worker(args) -> tuple[int, float, float, float]:
     path, statistic, n, K, alpha, master_seed, m = args
-    handle = _WORKER_HANDLES.get(path)
-    if handle is None:
-        handle = open_dataset(path)
-        _WORKER_HANDLES[path] = handle
-    report = run_estimate(
-        handle, statistic, n, K, replication_seed(master_seed, m),
-        alpha=alpha, workers=1,
-    )
+    report = run_estimate(path, statistic, n, K, replication_seed(master_seed, m), alpha=alpha)
     return m, report.theta_sos, report.theta_jds, report.se
 
 
-def _materialize_dataset(dataset: str | dict, workdir: Path | None = None) -> tuple[str, bool]:
-    """Return (path, created). Generator specs are written to a temp file."""
+@contextmanager
+def _dataset_path(dataset: str | dict):
+    """Yield a dataset path; a generator spec is written to a temp file."""
     if isinstance(dataset, str):
-        return dataset, False
+        yield dataset
+        return
     spec = dict(dataset)
     try:
         rows = int(spec.pop("rows"))
@@ -185,10 +205,8 @@ def _materialize_dataset(dataset: str | dict, workdir: Path | None = None) -> tu
     if spec:
         raise ValueError(f"unknown generator spec fields: {sorted(spec)}")
     sigma = np.asarray(sigma, dtype=np.float64).reshape(2, 2)
-    fd, path = tempfile.mkstemp(suffix=".sjds", dir=workdir)
-    os.close(fd)
-    generate_bivariate_normal(seed, rows, sigma, path)
-    return path, True
+    with temp_dataset(seed, rows, sigma) as path:
+        yield path
 
 
 def _sample_sd(values: list[float]) -> float:
@@ -201,12 +219,8 @@ def _sample_sd(values: list[float]) -> float:
 
 def run_replications(cfg: ExperimentConfig, *, workers: int | None = 1) -> ReplicationMetrics:
     """Run the estimate pipeline M times and score both estimator families."""
-    path, created = _materialize_dataset(cfg.dataset)
-    try:
+    with _dataset_path(cfg.dataset) as path:
         reps = _collect_replications(cfg, path, workers)
-    finally:
-        if created:
-            Path(path).unlink(missing_ok=True)
 
     z = normal_quantile(1.0 - cfg.alpha / 2.0)
     per_rep = [

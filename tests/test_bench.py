@@ -1,4 +1,5 @@
 import math
+import tempfile
 
 import pytest
 
@@ -46,3 +47,10 @@ def test_bench_generates_own_dataset_when_missing():
 def test_bench_rejects_bad_repeats(bench_dataset):
     with pytest.raises(ValueError, match="repeats"):
         bench_sampling(200_000, [(10, 2)], seed=1, repeats=0, data_path=bench_dataset)
+
+
+def test_bench_failed_generation_leaves_no_temp_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    with pytest.raises(ValueError, match="n_rows"):
+        bench_sampling(0, [(10, 5)], seed=1)
+    assert list(tmp_path.iterdir()) == []

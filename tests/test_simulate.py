@@ -1,5 +1,7 @@
 import hashlib
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -119,6 +121,27 @@ def test_generator_spec_dataset():
     assert cfg.dataset_label() == "generated:rows=20000,seed=4"
 
 
+def test_failed_generation_leaves_no_temp_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    cfg = ExperimentConfig(dataset={"rows": 100, "sigma": [[1, 2], [2, 1]], "seed": 1},
+                           statistic="corr:0,1", n=5, K=5, M=1)
+    with pytest.raises(ValueError, match="positive definite"):
+        run_replications(cfg)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_generated_dataset_is_unmapped_after_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    cfg = ExperimentConfig(dataset={"rows": 5000, "seed": 2}, statistic="corr:0,1",
+                           n=10, K=5, M=2, master_seed=3)
+    run_replications(cfg, workers=1)
+    assert list(tmp_path.iterdir()) == []
+    with open("/proc/self/maps") as fh:
+        leaked = [line for line in fh if str(tmp_path.resolve()) in line]
+    assert leaked == []
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="M must be >= 1"):
         ExperimentConfig(dataset="x", statistic="mean:0", n=5, K=5, M=0)
@@ -127,6 +150,16 @@ def test_config_validation():
     with pytest.raises(ValueError, match="unknown config fields"):
         ExperimentConfig.from_dict({"dataset": "x", "statistic": "mean:0",
                                     "n": 5, "K": 5, "M": 1, "bogus": 1})
+    with pytest.raises(ValueError, match="n >= 2"):
+        ExperimentConfig(dataset="x", statistic="mean:0", n=1, K=5, M=1)
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        ExperimentConfig(dataset="x", statistic="mean:0", n=5, K=0, M=1)
+    with pytest.raises(ValueError, match="unknown statistic"):
+        ExperimentConfig(dataset="x", statistic="median:0", n=5, K=5, M=1)
+    with pytest.raises(ValueError, match="needs column 9"):
+        # checked against the spec's two columns before anything is generated
+        ExperimentConfig(dataset={"rows": 10**9, "seed": 1}, statistic="corr:0,9",
+                         n=5, K=5, M=1)
 
 
 def test_replication_seed_offset_avoids_estimate_ordinals():
