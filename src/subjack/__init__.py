@@ -50,12 +50,12 @@ from .stats import (
 from .store import (
     DatasetHandle,
     DatasetHeader,
-    DatasetWriter,
     RecordBatch,
     StoreError,
     convert_csv,
     open_dataset,
     signed_log,
+    write_blocks,
     write_matrix,
 )
 

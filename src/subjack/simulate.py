@@ -22,7 +22,7 @@ from .estimator import normal_quantile
 from .pipeline import run_estimate
 from .sampling import REPLICATION_SEED_OFFSET, subsample_seed
 from .stats import parse_statistic
-from .store import DatasetHeader, DatasetWriter
+from .store import DatasetHeader, write_blocks
 
 _GEN_CHUNK = 1 << 18
 
@@ -50,19 +50,18 @@ def generate_bivariate_normal(
         raise ValueError("n_rows must be >= 1")
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    writer = DatasetWriter(out_path, 2)
-    remaining = n_rows
-    block = np.empty((_GEN_CHUNK, 2), dtype=np.float64)
-    while remaining > 0:
-        count = min(_GEN_CHUNK, remaining)
-        z = rng.standard_normal((count, 2))
-        out = block[:count]
-        # explicit lower-triangular mix keeps the output independent of chunking
-        out[:, 0] = chol[0, 0] * z[:, 0]
-        out[:, 1] = chol[1, 0] * z[:, 0] + chol[1, 1] * z[:, 1]
-        writer.append(out)
-        remaining -= count
-    return writer.close()
+
+    def chunks():
+        block = np.empty((_GEN_CHUNK, 2), dtype=np.float64)
+        for start in range(0, n_rows, _GEN_CHUNK):
+            z = rng.standard_normal((min(_GEN_CHUNK, n_rows - start), 2))
+            out = block[:len(z)]
+            # explicit lower-triangular mix keeps the output independent of chunking
+            out[:, 0] = chol[0, 0] * z[:, 0]
+            out[:, 1] = chol[1, 0] * z[:, 0] + chol[1, 1] * z[:, 1]
+            yield out  # reusing block is safe: write_blocks writes it before the next pull
+
+    return write_blocks(out_path, 2, chunks())
 
 
 @contextmanager
@@ -101,6 +100,7 @@ class ExperimentConfig:
             raise ValueError("subsample count K must be >= 1")
         stat = parse_statistic(self.statistic)
         if isinstance(self.dataset, dict):
+            _parse_generator_spec(self.dataset)
             stat.validate_columns(2)
 
     @classmethod
@@ -189,23 +189,31 @@ def _replication_worker(args) -> tuple[int, float, float, float]:
     return m, report.theta_sos, report.theta_jds, report.se
 
 
+def _parse_generator_spec(spec: dict) -> tuple[int, int, np.ndarray]:
+    """(seed, rows, sigma) of a generator spec; sigma defaults to the identity."""
+    spec = dict(spec)
+    try:
+        rows = int(spec.pop("rows"))
+        seed = int(spec.pop("seed"))
+    except KeyError as exc:
+        raise ValueError(f"generator spec missing field {exc}") from None
+    sigma = np.asarray(spec.pop("sigma", np.eye(2)), dtype=np.float64)
+    if spec:
+        raise ValueError(f"unknown generator spec fields: {sorted(spec)}")
+    if rows < 1:
+        raise ValueError("generator spec rows must be >= 1")
+    if sigma.shape != (2, 2):
+        raise ValueError("generator spec sigma must be a 2x2 matrix")
+    return seed, rows, sigma
+
+
 @contextmanager
 def _dataset_path(dataset: str | dict):
     """Yield a dataset path; a generator spec is written to a temp file."""
     if isinstance(dataset, str):
         yield dataset
         return
-    spec = dict(dataset)
-    try:
-        rows = int(spec.pop("rows"))
-        seed = int(spec.pop("seed"))
-        sigma = spec.pop("sigma", [[1.0, 0.0], [0.0, 1.0]])
-    except KeyError as exc:
-        raise ValueError(f"generator spec missing field {exc}") from None
-    if spec:
-        raise ValueError(f"unknown generator spec fields: {sorted(spec)}")
-    sigma = np.asarray(sigma, dtype=np.float64).reshape(2, 2)
-    with temp_dataset(seed, rows, sigma) as path:
+    with temp_dataset(*_parse_generator_spec(dataset)) as path:
         yield path
 
 

@@ -12,11 +12,15 @@ File layout (little-endian):
     24      -     N*p float64 values, row-major
 
 Row i starts at byte 24 + i*p*8, so any row is reachable with one seek.
+Other versions and dtype codes are rejected on open. write_blocks, the only
+writer, renames a finished temp file onto its target, so a failed write leaves
+the target as it was.
 """
 from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,16 +46,10 @@ class StoreError(Exception):
 class DatasetHeader:
     row_count: int
     col_count: int
-    version: int = FORMAT_VERSION
-    dtype_code: int = DTYPE_FLOAT64
-
-    @property
-    def data_bytes(self) -> int:
-        return self.row_count * self.col_count * _ROW_DTYPE.itemsize
 
     def pack(self) -> bytes:
         return struct.pack(
-            _HEADER_FMT, MAGIC, self.version, self.row_count, self.col_count, self.dtype_code
+            _HEADER_FMT, MAGIC, FORMAT_VERSION, self.row_count, self.col_count, DTYPE_FLOAT64
         )
 
 
@@ -109,58 +107,52 @@ def open_dataset(path: str | Path) -> DatasetHandle:
     magic, version, n_rows, n_cols, dtype_code = struct.unpack(_HEADER_FMT, raw)
     if magic != MAGIC:
         raise StoreError(f"{path}: not an SJDS file (magic {magic!r})")
+    if version != FORMAT_VERSION:
+        raise StoreError(f"{path}: unsupported format version {version}")
     if dtype_code != DTYPE_FLOAT64:
         raise StoreError(f"{path}: unsupported dtype code {dtype_code}")
     if n_rows < 1 or n_cols < 1:
         raise StoreError(f"{path}: invalid shape ({n_rows} x {n_cols})")
-    header = DatasetHeader(row_count=n_rows, col_count=n_cols, version=version)
-    expected = HEADER_SIZE + header.data_bytes
+    expected = HEADER_SIZE + n_rows * n_cols * _ROW_DTYPE.itemsize
     if size != expected:
         raise StoreError(f"{path}: length mismatch (expected {expected} bytes, found {size})")
     rows = np.memmap(path, dtype=_ROW_DTYPE, mode="r", offset=HEADER_SIZE, shape=(n_rows, n_cols))
-    return DatasetHandle(path, header, rows)
+    return DatasetHandle(path, DatasetHeader(row_count=n_rows, col_count=n_cols), rows)
 
 
-class DatasetWriter:
-    """Streams row blocks to a new dataset file.
+def write_blocks(path: str | Path, col_count: int, blocks) -> DatasetHeader:
+    """Write (m, col_count) row blocks to path, each before the next is pulled.
 
-    The row count is unknown until the stream ends, so a provisional header is
-    written first and patched on close. Writing is single-threaded and
-    exclusive; readers only see the file once close() has run.
+    The file is built under a temp name beside path and renamed onto it once
+    complete; on any exception, KeyboardInterrupt included, the temp file is
+    removed and path is untouched.
     """
-
-    def __init__(self, path: str | Path, col_count: int):
-        if col_count < 1:
-            raise ValueError("col_count must be >= 1")
-        self.path = Path(path)
-        self.col_count = col_count
-        self.rows_written = 0
-        self._fh = open(self.path, "wb")
-        self._fh.write(DatasetHeader(row_count=0, col_count=col_count).pack())
-
-    def append(self, block) -> None:
-        arr = np.ascontiguousarray(block, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        if arr.ndim != 2 or arr.shape[1] != self.col_count:
-            raise ValueError(f"block must have {self.col_count} columns")
-        self._fh.write(arr.astype(_ROW_DTYPE, copy=False).tobytes())
-        self.rows_written += arr.shape[0]
-
-    def close(self) -> DatasetHeader:
-        header = DatasetHeader(row_count=self.rows_written, col_count=self.col_count)
-        self._fh.seek(0)
-        self._fh.write(header.pack())
-        self._fh.close()
-        if self.rows_written < 1:
-            self.path.unlink(missing_ok=True)
-            raise StoreError("no rows written")
-        return header
-
-    def abort(self) -> None:
-        """Discard the partial file."""
-        self._fh.close()
-        self.path.unlink(missing_ok=True)
+    if col_count < 1:
+        raise ValueError("col_count must be >= 1")
+    path = Path(path)
+    # "x" rather than mkstemp, so the file gets open()'s umask-derived mode, not 0600
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(DatasetHeader(row_count=0, col_count=col_count).pack())
+            row_count = 0
+            for block in blocks:
+                arr = np.ascontiguousarray(block, dtype=_ROW_DTYPE)
+                if arr.ndim != 2 or arr.shape[1] != col_count:
+                    raise ValueError(f"block must be 2-d with {col_count} columns")
+                fh.write(arr)
+                row_count += arr.shape[0]
+                del block, arr  # free this block before the next is built
+            if row_count < 1:
+                raise StoreError("no rows written")
+            header = DatasetHeader(row_count=row_count, col_count=col_count)
+            fh.seek(0)
+            fh.write(header.pack())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return header
 
 
 def write_matrix(rows, path: str | Path) -> DatasetHeader:
@@ -168,9 +160,7 @@ def write_matrix(rows, path: str | Path) -> DatasetHeader:
     arr = np.ascontiguousarray(rows, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("rows must be a 2-d matrix")
-    writer = DatasetWriter(path, arr.shape[1])
-    writer.append(arr)
-    return writer.close()
+    return write_blocks(path, arr.shape[1], [arr])
 
 
 def signed_log(x: float) -> float:
@@ -193,8 +183,9 @@ def convert_csv(
     """Ingest named numeric CSV columns into a dataset file.
 
     The first CSV row is the header; an empty string is a missing value and
-    drops the whole row. Any other unparseable value is an error. With
-    transform="signed_log" each retained value is mapped through signed_log.
+    drops the whole row. Any other unparseable value, and nan or +-inf, is an
+    error. With transform="signed_log" each retained value is mapped through
+    signed_log.
     """
     if transform not in (None, "none", "signed_log"):
         raise ValueError(f"unknown transform {transform!r}")
@@ -219,38 +210,38 @@ def convert_csv(
             except ValueError:
                 raise StoreError(f"{csv_path}: unknown column {name!r}") from None
 
-        writer = DatasetWriter(out_path, len(columns))
-        buf: list[list[float]] = []
-        for row_num, row in enumerate(reader, start=1):
-            values = []
-            for pos in positions:
-                text = row[pos].strip() if pos < len(row) else ""
-                if text == "":
-                    values = None
-                    break
-                try:
-                    value = float(text)
-                except ValueError:
-                    writer.abort()
-                    raise StoreError(
-                        f"{csv_path}: unparseable value {text!r} at row {row_num}"
-                    ) from None
-                if apply_log:
-                    try:
-                        value = signed_log(value)
-                    except ValueError as exc:
-                        writer.abort()
-                        raise StoreError(f"{csv_path}: row {row_num}: {exc}") from None
-                values.append(value)
-            if values is None:
-                continue
-            buf.append(values)
-            if len(buf) >= 65536:
-                writer.append(np.asarray(buf))
-                buf = []
-        if buf:
-            writer.append(np.asarray(buf))
-        try:
-            return writer.close()
-        except StoreError:
-            raise StoreError(f"{csv_path}: zero retained rows") from None
+        blocks = _retained_blocks(csv_path, reader, positions, apply_log)
+        return write_blocks(out_path, len(columns), blocks)
+
+
+def _retained_blocks(csv_path, reader, positions: list[int], apply_log: bool):
+    """Yield the selected columns of complete CSV rows as float64 blocks."""
+    buf: list[list[float]] = []
+    kept = 0
+    for row_num, row in enumerate(reader, start=1):
+        values = []
+        for pos in positions:
+            text = row[pos].strip() if pos < len(row) else ""
+            if text == "":
+                values = None
+                break
+            try:
+                value = float(text)
+            except ValueError:
+                raise StoreError(
+                    f"{csv_path}: unparseable value {text!r} at row {row_num}"
+                ) from None
+            if not math.isfinite(value):
+                raise StoreError(f"{csv_path}: non-finite value {text!r} at row {row_num}")
+            values.append(signed_log(value) if apply_log else value)
+        if values is None:
+            continue
+        buf.append(values)
+        kept += 1
+        if len(buf) >= 65536:
+            yield np.asarray(buf)
+            buf = []
+    if kept == 0:
+        raise StoreError(f"{csv_path}: zero retained rows")
+    if buf:
+        yield np.asarray(buf)

@@ -182,6 +182,18 @@ def test_simulate_cli_config_list(capsys, tmp_path, cli_dataset):
     assert [r["statistic"] for r in rows] == ["mean:0", "mean:1"]
 
 
+def test_simulate_cli_bad_second_spec_fails_before_running(capsys, tmp_path):
+    good = {"dataset": {"rows": 2000, "seed": 1}, "statistic": "mean:0", "n": 20,
+            "K": 5, "M": 2, "master_seed": 1}
+    bad = {**good, "dataset": {"rows": 2000}}
+    cfg_path = tmp_path / "cfgs.json"
+    cfg_path.write_text(json.dumps([good, bad]))
+    code, out, err = _run(capsys, ["simulate", "--config", str(cfg_path), "--workers", "1"])
+    assert code == 2
+    assert out == ""
+    assert "missing field 'seed'" in err
+
+
 def test_simulate_cli_bad_config(capsys, tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text("{not json")

@@ -160,6 +160,16 @@ def test_config_validation():
         # checked against the spec's two columns before anything is generated
         ExperimentConfig(dataset={"rows": 10**9, "seed": 1}, statistic="corr:0,9",
                          n=5, K=5, M=1)
+    for spec, message in [
+        ({"rows": 100}, "missing field 'seed'"),
+        ({"seed": 1}, "missing field 'rows'"),
+        ({"rows": 100, "seed": 1, "mu": 0}, "unknown generator spec fields"),
+        ({"rows": 0, "seed": 1}, "rows must be >= 1"),
+        ({"rows": 100, "seed": 1, "sigma": [1.0, 0.0, 0.0, 1.0]}, "2x2"),
+        ({"rows": 100, "seed": 1, "sigma": np.eye(3).tolist()}, "2x2"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(dataset=spec, statistic="mean:0", n=5, K=5, M=1)
 
 
 def test_replication_seed_offset_avoids_estimate_ordinals():

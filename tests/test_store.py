@@ -1,4 +1,5 @@
 import math
+import os
 import struct
 
 import numpy as np
@@ -9,11 +10,11 @@ from hypothesis.extra.numpy import arrays
 
 from subjack.store import (
     HEADER_SIZE,
-    DatasetWriter,
     StoreError,
     convert_csv,
     open_dataset,
     signed_log,
+    write_blocks,
     write_matrix,
 )
 
@@ -146,11 +147,42 @@ def test_header_is_24_bytes(tmp_path):
     assert (magic, n, p, dtype) == (b"SJDS", 100, 2, 0)
 
 
+def test_unsupported_version_rejected(tmp_path):
+    path = _valid_file(tmp_path)
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 99)
+    path.write_bytes(raw)
+    with pytest.raises(StoreError, match="unsupported format version 99"):
+        open_dataset(path)
+
+
 def test_writer_requires_rows(tmp_path):
-    writer = DatasetWriter(tmp_path / "empty.sjds", 2)
     with pytest.raises(StoreError, match="no rows"):
-        writer.close()
+        write_blocks(tmp_path / "empty.sjds", 2, [])
     assert not (tmp_path / "empty.sjds").exists()
+
+
+def test_failed_write_keeps_old_file(tmp_path):
+    path = _valid_file(tmp_path)
+    before = path.read_bytes()
+
+    def blocks():
+        yield np.zeros((10, 2))
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        write_blocks(path, 2, blocks())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_written_file_has_plain_open_mode(tmp_path):
+    plain = tmp_path / "plain.bin"
+    with open(plain, "wb"):
+        pass
+    path = tmp_path / "m.sjds"
+    write_blocks(path, 1, [np.ones((3, 1))])
+    assert os.stat(path).st_mode == os.stat(plain).st_mode
 
 
 def test_signed_log_known_values():
@@ -225,6 +257,30 @@ def test_convert_short_row_treated_as_missing(tmp_path):
     csv_path = _write_csv(tmp_path / "e.csv", "x,y\n1,2\n3\n5,6\n")
     header = convert_csv(csv_path, ["y"], "none", tmp_path / "e.sjds")
     assert header.row_count == 2
+
+
+@pytest.mark.parametrize("text", [
+    "x\n1.0\nhello\n",       # unparseable
+    "x,y\n,2\n,3\n",          # zero retained rows
+    "x\n1.0\nnan\n",          # non-finite
+])
+def test_failed_convert_keeps_old_file(tmp_path, text):
+    csv_path = _write_csv(tmp_path / "in.csv", text)
+    out = _valid_file(tmp_path)
+    before = out.read_bytes()
+    with pytest.raises(StoreError):
+        convert_csv(csv_path, ["x"], "none", out)
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", out.name]
+
+
+@pytest.mark.parametrize("transform", ["none", "signed_log"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_convert_rejects_nonfinite(tmp_path, cell, transform):
+    csv_path = _write_csv(tmp_path / "f.csv", f"x\n1.0\n2.0\n{cell}\n")
+    with pytest.raises(StoreError, match=f"non-finite value '{cell}' at row 3"):
+        convert_csv(csv_path, ["x"], transform, tmp_path / "f.sjds")
+    assert not (tmp_path / "f.sjds").exists()
 
 
 def test_convert_missing_file(tmp_path):
