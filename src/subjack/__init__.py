@@ -16,6 +16,7 @@ from .estimator import (
     SubsampleResult,
     aggregate,
     confidence_interval,
+    jackknife_chunk,
     jackknife_subsample,
     jackknife_subsample_naive,
     loo_moment,

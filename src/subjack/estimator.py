@@ -13,8 +13,10 @@ Across K subsamples the point estimates are plain averages and
 
     se^2 = (1/K + n/N) * mean_k ss_k.
 
-Final reductions always run in ascending k (exactly-rounded summation), so a
-report is bit-identical no matter how many workers produced the parts.
+jackknife_chunk computes these for a chunk of subsamples, (Kc, n, q), in one
+pass of numpy calls; its results are exactly the per-subsample ones. Final
+reductions always run in ascending k (exactly-rounded summation), so a report
+is bit-identical no matter how the subsamples were chunked.
 """
 from __future__ import annotations
 
@@ -111,42 +113,77 @@ def _eval_at(stat: Statistic, point: np.ndarray, *, k: int, where: str) -> float
     return value
 
 
-def _check_features(stat: Statistic, arr: np.ndarray) -> int:
-    if arr.ndim != 2 or arr.shape[1] != stat.q:
+def _check_features(stat: Statistic, arr: np.ndarray, ndim: int = 2) -> int:
+    if arr.ndim != ndim or arr.shape[-1] != stat.q:
+        axes = "n" if ndim == 2 else "Kc, n"
         raise ValueError(
-            f"features must be an (n, {stat.q}) matrix for statistic {stat.name!r}, "
+            f"features must be an ({axes}, {stat.q}) array for statistic {stat.name!r}, "
             f"got shape {arr.shape}"
         )
-    if arr.shape[0] < 2:
+    if arr.shape[-2] < 2:
         raise ValueError("jackknife needs n >= 2")
-    return arr.shape[0]
+    return arr.shape[-2]
+
+
+def jackknife_chunk(stat: Statistic, features, ks) -> list[SubsampleResult]:
+    """Jackknife the subsamples features[i], ordinals ks[i], with leave-one-out
+    downdates over the whole (Kc, n, q) chunk at once.
+
+    A failing chunk raises the error of its first failing subsample in ks order,
+    checked as for one subsample: mean point domain, mean point finite,
+    leave-one-out domain, finite results. g only ever sees in-domain points.
+    """
+    arr = np.asarray(features, dtype=np.float64)
+    n = _check_features(stat, arr, ndim=3)
+    ks = list(ks)
+    if len(ks) != arr.shape[0]:
+        raise ValueError(f"{len(ks)} ordinals for {arr.shape[0]} subsamples")
+
+    # sum / n is the arithmetic of mean(), without its Python-level overhead
+    mu = arr.sum(axis=1) / n
+    loo = n * mu[:, None] - arr
+    loo /= n - 1
+    ok = stat.in_domain(loo)
+    loo_ok = ok.all(axis=1)
+    # theta_hat stays a per-subsample g on the 1-d mean point: scalar arithmetic
+    # (e.g. kurt's v**2) rounds differently from the same formula over an array
+    theta_hat = np.empty(len(ks))
+    good, failure = len(ks), None
+    for i, k in enumerate(ks):
+        try:
+            theta_hat[i] = _eval_at(stat, mu[i], k=k, where="the subsample mean")
+            if not loo_ok[i]:
+                j = int(np.flatnonzero(~ok[i])[0])
+                raise DomainEvalError(
+                    f"statistic {stat.name!r} undefined at leave-one-out point j={j} "
+                    f"of subsample k={k}: moments={loo[i, j].tolist()}"
+                )
+        except DomainEvalError as exc:
+            good, failure = i, exc
+            break
+
+    theta_hat = theta_hat[:good]
+    theta_loo = np.asarray(stat.g(loo[:good]), dtype=np.float64)
+    theta_jds = n * theta_hat - (n - 1) * (theta_loo.sum(axis=1) / n)
+    ss = ((theta_loo - theta_hat[:, None]) ** 2).sum(axis=1)
+    results = []
+    for k, hat, jds, s in zip(ks, theta_hat.tolist(), theta_jds.tolist(), ss.tolist()):
+        if not (math.isfinite(jds) and math.isfinite(s)):
+            raise DomainEvalError(
+                f"statistic {stat.name!r} produced non-finite jackknife values "
+                f"in subsample k={k}"
+            )
+        results.append(SubsampleResult(k=k, theta_hat=hat, theta_jds=jds, ss=s, n=n))
+    if failure is not None:
+        raise failure
+    return results
 
 
 def jackknife_subsample(stat: Statistic, features, k: int = 0) -> SubsampleResult:
     """Jackknife one subsample using leave-one-out downdates (O(n*q) total)."""
     arr = np.asarray(features, dtype=np.float64)
-    n = _check_features(stat, arr)
-
-    mu = arr.mean(axis=0)
-    theta_hat = _eval_at(stat, mu, k=k, where="the subsample mean")
-
-    loo = (n * mu - arr) / (n - 1)
-    ok = stat.in_domain(loo)
-    if not np.all(ok):
-        j = int(np.flatnonzero(~ok)[0])
-        raise DomainEvalError(
-            f"statistic {stat.name!r} undefined at leave-one-out point j={j} "
-            f"of subsample k={k}: moments={loo[j].tolist()}"
-        )
-    theta_loo = np.asarray(stat.g(loo), dtype=np.float64)
-    theta_jds = n * theta_hat - (n - 1) * float(theta_loo.mean())
-    ss = float(((theta_loo - theta_hat) ** 2).sum())
-    if not (math.isfinite(theta_jds) and math.isfinite(ss)):
-        raise DomainEvalError(
-            f"statistic {stat.name!r} produced non-finite jackknife values "
-            f"in subsample k={k}"
-        )
-    return SubsampleResult(k=k, theta_hat=theta_hat, theta_jds=theta_jds, ss=ss, n=n)
+    _check_features(stat, arr)
+    return jackknife_chunk(stat, arr[None], [k])[0]
 
 
 def jackknife_subsample_naive(stat: Statistic, features, k: int = 0) -> SubsampleResult:

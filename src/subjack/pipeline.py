@@ -1,18 +1,24 @@
 """End-to-end estimation over an on-disk dataset.
 
-Subsamples k = 1..K run in order in the calling thread: each k derives its own
-seed, draws its indices, reads the rows, and jackknifes them, and results are
-reduced in k order. The per-k numpy calls are too small for threads to help;
-a thread pool measured slower.
+Subsamples k = 1..K run in order in the calling thread, a chunk of Kc
+consecutive k at a time: each k derives its own seed and draws its indices,
+then the chunk's rows are read in one gather, mapped by phi, and jackknifed by
+one kernel call. Results are reduced in k order, so the report does not depend
+on the chunk size. Kc keeps a chunk's gathered rows, and its features, within
+CHUNK_BYTES.
 """
 from __future__ import annotations
 
 from pathlib import Path
 
-from .estimator import EstimateReport, aggregate, jackknife_subsample
+import numpy as np
+
+from .estimator import EstimateReport, aggregate, jackknife_chunk
 from .sampling import RNG_ID, SamplingPlan
 from .stats import Statistic, parse_statistic
 from .store import DatasetHandle, open_dataset
+
+CHUNK_BYTES = 2**20
 
 
 def run_estimate(
@@ -38,10 +44,13 @@ def run_estimate(
         raise ValueError("jackknife estimation needs subsample size n >= 2")
     plan = SamplingPlan(n_rows=handle.row_count, n=n, K=K, master_seed=master_seed)
 
-    results = [
-        jackknife_subsample(stat, stat.phi(handle.read_records(plan.indices_for(k)).rows), k=k)
-        for k in range(1, K + 1)
-    ]
+    chunk = max(1, CHUNK_BYTES // (8 * n * max(stat.q, handle.col_count)))
+    results = []
+    for first in range(1, K + 1, chunk):
+        ks = range(first, min(first + chunk, K + 1))
+        indices = np.concatenate([plan.indices_for(k) for k in ks])
+        features = stat.phi(handle.read_records(indices).rows)
+        results += jackknife_chunk(stat, features.reshape(len(ks), n, stat.q), ks)
     return aggregate(
         results,
         handle.row_count,

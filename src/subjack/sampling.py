@@ -8,7 +8,8 @@ Randomness scheme (recorded as RNG_ID in every report):
     guaranteed distinct seeds.
   * Each seed keys an independent Philox-4x64-10 counter-based stream; its raw
     64-bit output is mathematically fixed, so index streams replay exactly on
-    any machine.
+    any machine. Each thread re-keys one reused Philox rather than building a
+    new one per seed; the stream is the one np.random.Philox(key=seed) gives.
   * Uniform integers on [0, N) use bitmask rejection on the raw words: mask to
     the next power of two, discard candidates >= N. No modulo bias; at least
     half of all candidates are accepted.
@@ -18,6 +19,7 @@ or which worker performs the draw.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,9 @@ BENCH_SEED_OFFSET = 2**33
 
 _MASK64 = 2**64 - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+
+_streams = threading.local()
 
 
 def subsample_seed(master_seed: int, k: int) -> int:
@@ -53,13 +58,45 @@ def _index_mask(n_rows: int) -> np.uint64:
     return np.uint64((1 << (n_rows - 1).bit_length()) - 1 if n_rows > 1 else 0)
 
 
+def checked_seed(seed: int) -> int:
+    """seed as an int, if it is a valid Philox key."""
+    seed = int(seed)
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+    return seed
+
+
+def _keyed_philox(seed: int) -> np.random.Philox:
+    """This thread's Philox, reset to the start of the stream keyed by seed.
+
+    Assigning the state costs a fifth of constructing np.random.Philox(key=seed),
+    which dominated a per-subsample draw.
+    """
+    seed = checked_seed(seed)
+    bits = getattr(_streams, "philox", None)
+    if bits is None:
+        bits = _streams.philox = np.random.Philox(0)
+    bits.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": _ZERO4,
+            "key": np.array([seed & _MASK64, seed >> 64], dtype=np.uint64),
+        },
+        "buffer": _ZERO4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bits
+
+
 def draw_with_replacement(seed: int, n_rows: int, n: int) -> np.ndarray:
     """Draw n independent uniform indices on [0, n_rows), with replacement."""
     if n_rows < 1:
         raise ValueError("n_rows must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    bits = np.random.Philox(key=seed)
+    bits = _keyed_philox(seed)
     mask = _index_mask(n_rows)
     bound = np.uint64(n_rows)
     out = np.empty(n, dtype=np.int64)
@@ -119,7 +156,7 @@ def draw_without_replacement(
         raise ValueError(
             f"insufficient room: {len(already_drawn)} drawn + {n} requested > {n_rows}"
         )
-    bits = np.random.Philox(key=seed)
+    bits = _keyed_philox(seed)
     mask = int(_index_mask(n_rows))
     out = np.empty(n, dtype=np.int64)
     filled = 0

@@ -20,7 +20,7 @@ import numpy as np
 
 from .estimator import normal_quantile
 from .pipeline import run_estimate
-from .sampling import REPLICATION_SEED_OFFSET, subsample_seed
+from .sampling import REPLICATION_SEED_OFFSET, checked_seed, subsample_seed
 from .stats import parse_statistic
 from .store import DatasetHeader, write_blocks
 
@@ -49,7 +49,7 @@ def generate_bivariate_normal(
     if n_rows < 1:
         raise ValueError("n_rows must be >= 1")
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=checked_seed(seed)))
 
     def chunks():
         block = np.empty((_GEN_CHUNK, 2), dtype=np.float64)
@@ -193,8 +193,8 @@ def _parse_generator_spec(spec: dict) -> tuple[int, int, np.ndarray]:
     """(seed, rows, sigma) of a generator spec; sigma defaults to the identity."""
     spec = dict(spec)
     try:
-        rows = int(spec.pop("rows"))
-        seed = int(spec.pop("seed"))
+        rows = _integer_field(spec, "rows")
+        seed = checked_seed(_integer_field(spec, "seed"))
     except KeyError as exc:
         raise ValueError(f"generator spec missing field {exc}") from None
     sigma = np.asarray(spec.pop("sigma", np.eye(2)), dtype=np.float64)
@@ -205,6 +205,17 @@ def _parse_generator_spec(spec: dict) -> tuple[int, int, np.ndarray]:
     if sigma.shape != (2, 2):
         raise ValueError("generator spec sigma must be a 2x2 matrix")
     return seed, rows, sigma
+
+
+def _integer_field(spec: dict, name: str) -> int:
+    value = spec.pop(name)
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value:
+        raise ValueError(f"generator spec {name} must be an integer, got {value!r}")
+    return number
 
 
 @contextmanager

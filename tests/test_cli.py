@@ -140,6 +140,16 @@ def test_generate_bad_sigma_exit_code(capsys, tmp_path):
     assert "positive definite" in err
 
 
+def test_generate_negative_seed_exit_code(capsys, tmp_path):
+    out_path = tmp_path / "neg.sjds"
+    code, out, err = _run(capsys, ["generate", "--n-rows", "10", "--sigma", "1,0,0,1",
+                                   "--seed", "-1", "--out", str(out_path)])
+    assert code == 2
+    assert out == ""
+    assert "seed must be in [0, 2**128), got -1" in err
+    assert not out_path.exists()
+
+
 def test_convert_cli(capsys, tmp_path):
     csv_path = tmp_path / "in.csv"
     csv_path.write_text("x,y\n1,4\n2,\n3,6\n")

@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subjack.estimator import (
+    DomainEvalError,
     EstimateReport,
     MomentVector,
+    SubsampleResult,
     aggregate,
     confidence_interval,
+    jackknife_chunk,
     jackknife_subsample,
     jackknife_subsample_naive,
     loo_moment,
@@ -173,6 +178,137 @@ def test_downdate_equals_naive_on_random_instances():
         for got, ref in [(fast.theta_hat, slow.theta_hat),
                          (fast.theta_jds, slow.theta_jds), (fast.ss, slow.ss)]:
             assert abs(got - ref) <= 1e-10 * max(abs(got), abs(ref), 1e-30)
+
+
+# (statistic, smallest n at which random subsamples stay in its domain)
+_CHUNK_STATS = [
+    (stat_mean(0), 2),
+    (stat_variance(0), 2),
+    (stat_sd(0), 3),
+    (stat_kurtosis(0), 3),
+    (stat_correlation(0, 1), 3),
+]
+
+
+def _downdate_reference(stat, arr, k):
+    # the per-subsample downdate on one (n, q) matrix, with no chunk axis
+    n = arr.shape[0]
+    mu = arr.mean(axis=0)
+    theta_hat = float(stat.g(mu))
+    theta_loo = np.asarray(stat.g((n * mu - arr) / (n - 1)), dtype=np.float64)
+    return SubsampleResult(
+        k=k,
+        theta_hat=theta_hat,
+        theta_jds=n * theta_hat - (n - 1) * float(theta_loo.mean()),
+        ss=float(((theta_loo - theta_hat) ** 2).sum()),
+        n=n,
+    )
+
+
+def _chunk_features(stat, kc, n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(2.0, 1.5, size=kc * n)
+    y = x + rng.normal(0.0, 1.0, size=kc * n)
+    return stat.phi(np.column_stack([x, y])).reshape(kc, n, stat.q)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    which=st.integers(0, len(_CHUNK_STATS) - 1),
+    kc=st.integers(1, 12),
+    extra_n=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chunk_kernel_equals_per_subsample_and_naive(which, kc, extra_n, seed):
+    stat, n_min = _CHUNK_STATS[which]
+    features = _chunk_features(stat, kc, n_min + extra_n, seed)
+    ks = list(range(7, 7 + kc))
+    chunk = jackknife_chunk(stat, features, ks)
+    assert chunk == [jackknife_subsample(stat, f, k=k) for f, k in zip(features, ks)]
+    assert chunk == [_downdate_reference(stat, f, k) for f, k in zip(features, ks)]
+    # The downdate and the direct leave-one-out mean round differently. Below
+    # n = 10, kurt's mu4/v**2 and corr's cov/sqrt(va*vb) can amplify that past
+    # 1e-10 (up to 5e-3 for kurt at n = 3), so the oracle is checked from 10 on.
+    if features.shape[1] < 10:
+        return
+    for got, f in zip(chunk, features):
+        slow = jackknife_subsample_naive(stat, f, k=got.k)
+        for a, b in [(got.theta_hat, slow.theta_hat), (got.theta_jds, slow.theta_jds),
+                     (got.ss, slow.ss)]:
+            assert abs(a - b) <= 1e-10 * max(abs(a), abs(b), 1e-30)
+
+
+def _pole_stat():
+    # g(m) = 1/(m - 1) on m > 0: it can fail each of the four checks, with
+    # exact arithmetic on the small integers planted below
+    return Statistic(
+        "pole", 1, (0,),
+        phi=lambda rows: np.ascontiguousarray(rows[:, :1], dtype=np.float64),
+        g=lambda m: 1.0 / (m[..., 0] - 1.0),
+        in_domain=lambda m: m[..., 0] > 0,
+    )
+
+
+# subsamples of n = 4 that fail one check each, in the order they are checked
+_PLANTS = {
+    "mean undefined": [-1.0, -1.0, -1.0, -1.0],
+    "mean non-finite": [1.0, 1.0, 1.0, 1.0],    # g(1) = 1/0
+    "leave-one-out undefined": [4.0, -1.0, -1.0, -1.0],  # dropping 4 leaves mean -1
+    "jackknife non-finite": [5.0, 1.0, 1.0, 1.0],    # dropping 5 leaves mean 1
+}
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    kc=st.integers(1, 10),
+    planted=st.lists(st.tuples(st.integers(0, 9), st.sampled_from(sorted(_PLANTS))),
+                     max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chunk_kernel_raises_first_per_subsample_error(kc, planted, seed):
+    stat = _pole_stat()
+    rows = np.random.default_rng(seed).normal(3.0, 0.5, size=(kc, 4, 1))
+    for i, kind in planted:
+        if i < kc:
+            rows[i, :, 0] = _PLANTS[kind]
+    features = np.stack([stat.phi(r) for r in rows])
+    ks = list(range(1, kc + 1))
+    expected = None
+    for f, k in zip(features, ks):
+        try:
+            jackknife_subsample(stat, f, k=k)
+        except DomainEvalError as exc:
+            expected = str(exc)
+            break
+    if expected is None:
+        assert len(jackknife_chunk(stat, features, ks)) == kc
+    else:
+        with pytest.raises(DomainEvalError) as exc:
+            jackknife_chunk(stat, features, ks)
+        assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("kind,text", [
+    ("mean undefined", "undefined at the subsample mean of subsample k=3"),
+    ("mean non-finite", "non-finite at the subsample mean of subsample k=3"),
+    ("leave-one-out undefined", "undefined at leave-one-out point j=0 of subsample k=3"),
+    ("jackknife non-finite", "produced non-finite jackknife values in subsample k=3"),
+])
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_each_plant_fails_its_own_check(kind, text):
+    with pytest.raises(DomainEvalError, match=text):
+        jackknife_subsample(_pole_stat(), np.array(_PLANTS[kind])[:, None], k=3)
+
+
+def test_chunk_kernel_checks_shape_and_ordinals():
+    stat = stat_variance(0)
+    with pytest.raises(ValueError, match=r"\(Kc, n, 2\)"):
+        jackknife_chunk(stat, np.ones((4, 2)), [1])
+    with pytest.raises(ValueError, match="n >= 2"):
+        jackknife_chunk(stat, np.ones((3, 1, 2)), [1, 2, 3])
+    with pytest.raises(ValueError, match="2 ordinals for 3 subsamples"):
+        jackknife_chunk(stat, np.ones((3, 4, 2)), [1, 2])
 
 
 def _square_result():

@@ -111,3 +111,55 @@ def test_without_replacement_full_run_duplicate_free():
     stream = np.concatenate(list(plan.iter_without_replacement()))
     assert stream.size == 200
     assert len(np.unique(stream)) == 200
+
+
+def _fresh_philox_draw(seed, n_rows, n):
+    # the documented bitmask rejection on a newly built np.random.Philox(key=seed)
+    bits = np.random.Philox(key=seed)
+    mask = np.uint64((1 << (n_rows - 1).bit_length()) - 1 if n_rows > 1 else 0)
+    parts, need = [], n
+    while need:
+        words = bits.random_raw(max(2 * need, 16)) & mask
+        parts.append(words[words < np.uint64(n_rows)][:need])
+        need -= parts[-1].size
+    return np.concatenate(parts).astype(np.int64)
+
+
+# the last two need the key's high word
+REKEY_SEEDS = [0, 1, 2**63 + 5, 2**64 - 1, 2**64 + 7, 2**128 - 1]
+
+
+@pytest.mark.parametrize("n_rows", [1, 16, 10**6])
+@pytest.mark.parametrize("seed", REKEY_SEEDS)
+def test_draw_matches_freshly_keyed_philox(seed, n_rows):
+    for n in (1, 16, 300, 10**6):
+        got = draw_with_replacement(seed, n_rows, n)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, _fresh_philox_draw(seed, n_rows, n))
+
+
+def test_interleaved_seeds_leak_no_stream_state():
+    # n = 9 and 11 take 18 and 22 raw words, leaving the reused generator
+    # part-way through a 4-word Philox block between calls
+    seeds = (3, 2**64 - 1)
+    expected = {(s, n): _fresh_philox_draw(s, 10**6, n) for s in seeds for n in (9, 11)}
+    for _ in range(3):
+        for s in seeds:
+            for n in (9, 11):
+                np.testing.assert_array_equal(draw_with_replacement(s, 10**6, n), expected[(s, n)])
+
+
+def test_draw_in_another_thread_matches():
+    import threading
+
+    got = {}
+    worker = threading.Thread(target=lambda: got.update(a=draw_with_replacement(9, 1000, 64)))
+    worker.start()
+    worker.join()
+    np.testing.assert_array_equal(got["a"], _fresh_philox_draw(9, 1000, 64))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_draw_rejects_seed_outside_key_range(seed):
+    with pytest.raises(ValueError, match="seed must be in"):
+        draw_with_replacement(seed, 10, 3)

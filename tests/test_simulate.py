@@ -58,6 +58,13 @@ def test_generate_rejects_bad_sigma(tmp_path):
         generate_bivariate_normal(1, 10, np.eye(3), tmp_path / "z.sjds")
 
 
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_generate_rejects_seed_outside_key_range(tmp_path, seed):
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128\)"):
+        generate_bivariate_normal(seed, 10, np.eye(2), tmp_path / "s.sjds")
+    assert not (tmp_path / "s.sjds").exists()
+
+
 @pytest.fixture(scope="module")
 def sim_dataset(tmp_path_factory):
     path = tmp_path_factory.mktemp("sim") / "d.sjds"
@@ -167,6 +174,12 @@ def test_config_validation():
         ({"rows": 0, "seed": 1}, "rows must be >= 1"),
         ({"rows": 100, "seed": 1, "sigma": [1.0, 0.0, 0.0, 1.0]}, "2x2"),
         ({"rows": 100, "seed": 1, "sigma": np.eye(3).tolist()}, "2x2"),
+        ({"rows": 2.7, "seed": 1}, "rows must be an integer, got 2.7"),
+        ({"rows": "100", "seed": 1}, "rows must be an integer"),
+        ({"rows": float("inf"), "seed": 1}, "rows must be an integer"),
+        ({"rows": 100, "seed": 0.5}, "seed must be an integer"),
+        ({"rows": 100, "seed": -1}, r"seed must be in \[0, 2\*\*128\), got -1"),
+        ({"rows": 100, "seed": 2**128}, r"seed must be in \[0, 2\*\*128\)"),
     ]:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(dataset=spec, statistic="mean:0", n=5, K=5, M=1)
