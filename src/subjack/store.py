@@ -15,6 +15,13 @@ Row i starts at byte 24 + i*p*8, so any row is reachable with one seek.
 Other versions and dtype codes are rejected on open. write_blocks, the only
 writer, renames a finished temp file onto its target, so a failed write leaves
 the target as it was.
+
+Reads and ingestion work in bulk. read_records checks its indices, then
+gathers every requested row with one bounds-checked ``take`` on the mapped
+array. convert_csv reads CSV rows a block at a time into per-column cell lists
+and parses, checks and transforms a column at a time; only a block holding a
+bad cell is rescanned row by row, to name the first one. Output bytes and
+error texts are those of a row-by-row loop.
 """
 from __future__ import annotations
 
@@ -23,6 +30,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from itertools import compress, islice
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +44,7 @@ HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 assert HEADER_SIZE == 24
 
 _ROW_DTYPE = np.dtype("<f8")
+_BLOCK_ROWS = 65536  # CSV rows converted per block
 
 
 class StoreError(Exception):
@@ -82,14 +91,19 @@ class DatasetHandle:
         return self.header.col_count
 
     def read_records(self, indices) -> RecordBatch:
-        """Fetch the given rows, duplicates allowed, in the order requested."""
+        """Fetch the given rows, duplicates allowed, in the order requested.
+
+        The indices are checked first (1-d, non-empty, within [0, row_count)),
+        then gathered from the mapped rows with one bounds-checked ``take``
+        into a new float64 array, the only copy made.
+        """
         idx = np.asarray(indices, dtype=np.int64)
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("indices must be a non-empty 1-d sequence")
         if idx.min() < 0 or idx.max() >= self.row_count:
             bad = idx[(idx < 0) | (idx >= self.row_count)][0]
             raise IndexError(f"row index {bad} out of range [0, {self.row_count})")
-        rows = np.array(self._rows[idx], dtype=np.float64)
+        rows = np.asarray(np.asarray(self._rows).take(idx, axis=0), dtype=np.float64)
         return RecordBatch(rows=rows, source_indices=idx)
 
 
@@ -182,10 +196,16 @@ def convert_csv(
 ) -> DatasetHeader:
     """Ingest named numeric CSV columns into a dataset file.
 
-    The first CSV row is the header; an empty string is a missing value and
-    drops the whole row. Any other unparseable value, and nan or +-inf, is an
-    error. With transform="signed_log" each retained value is mapped through
-    signed_log.
+    The first CSV row is the header; an empty string (after stripping
+    whitespace) is a missing value and drops the whole row. Any other value
+    float() rejects, and nan or +-inf, is an error, unless an earlier selected
+    cell of its row is empty. The error names the first bad row and, within
+    it, the first bad selected column. With transform="signed_log" each
+    retained value is mapped through signed_log.
+
+    Rows are converted _BLOCK_ROWS at a time, a column at a time. The file
+    and the error texts are what a row-by-row loop gives;
+    tests/test_convert_oracle.py keeps that loop as the reference.
     """
     if transform not in (None, "none", "signed_log"):
         raise ValueError(f"unknown transform {transform!r}")
@@ -215,33 +235,104 @@ def convert_csv(
 
 
 def _retained_blocks(csv_path, reader, positions: list[int], apply_log: bool):
-    """Yield the selected columns of complete CSV rows as float64 blocks."""
-    buf: list[list[float]] = []
+    """Yield the selected columns of complete CSV rows as float64 blocks.
+
+    Reads _BLOCK_ROWS CSV rows at a time into one list of cell strings per
+    selected column (no row lists are kept), then converts the block a column
+    at a time. If the reader fails part-way (a csv.Error, a decoding error),
+    the rows before the failure are still checked first, so a bad cell there
+    is reported as it would be by a row-at-a-time loop.
+    """
     kept = 0
-    for row_num, row in enumerate(reader, start=1):
-        values = []
-        for pos in positions:
-            text = row[pos].strip() if pos < len(row) else ""
+    first_row = 1
+    while True:
+        cols, read_error = _read_columns(reader, positions, _BLOCK_ROWS)
+        m = len(cols[0])
+        if m:
+            block = _convert_block(csv_path, cols, first_row, apply_log)
+            del cols  # free the cells now, and the block after it is written
+            first_row += m
+            kept += len(block)
+            if len(block):
+                yield block
+            del block
+        if read_error is not None:
+            raise read_error
+        if m < _BLOCK_ROWS:
+            break
+    if kept == 0:
+        raise StoreError(f"{csv_path}: zero retained rows")
+
+
+def _read_columns(reader, positions: list[int], limit: int):
+    """The selected cells of the next limit rows, by column; "" past a short row.
+
+    Also returns the exception that stopped the reader early, or None.
+    """
+    cols: list[list[str]] = [[] for _ in positions]
+    appends = [(col.append, pos) for col, pos in zip(cols, positions)]
+    try:
+        for row in islice(reader, limit):
+            width = len(row)
+            for append, pos in appends:
+                append(row[pos] if pos < width else "")
+    except Exception as exc:  # re-raised by the caller after the rows before it
+        return cols, exc
+    return cols, None
+
+
+def _convert_block(csv_path, cols: list[list[str]], first_row: int, apply_log: bool):
+    """Parse one block of cells, column by column; return its complete rows.
+
+    Row by row, a selected cell is parsed only if every earlier selected cell
+    of its row is non-empty (the first empty one drops the row). Those cells
+    are parsed with float() in bulk; if any fails or is non-finite, the error
+    comes from _bad_cell_error, which finds the first such cell in row order.
+    """
+    m = len(cols[0])
+    counted = np.ones(m, dtype=bool)
+    parsed = []
+    for col in cols:
+        texts = list(map(str.strip, col))
+        counted = counted & (np.fromiter(map(len, texts), dtype=np.intp, count=m) > 0)
+        size = int(np.count_nonzero(counted))
+        try:
+            values = np.fromiter(
+                map(float, compress(texts, counted.tolist())), dtype=np.float64, count=size
+            )
+        except ValueError:
+            raise _bad_cell_error(csv_path, cols, first_row) from None
+        if not np.isfinite(values).all():
+            raise _bad_cell_error(csv_path, cols, first_row)
+        parsed.append((values, counted))
+    block = np.empty((int(np.count_nonzero(counted)), len(cols)), dtype=np.float64)
+    for j, (values, mask) in enumerate(parsed):
+        column = values[counted[mask]]
+        block[:, j] = _signed_log_array(column) if apply_log else column
+    return block
+
+
+def _signed_log_array(values: np.ndarray) -> np.ndarray:
+    """signed_log of each finite value, through math.log as signed_log does."""
+    out = np.zeros_like(values)
+    nonzero = values != 0.0
+    x = values[nonzero]
+    mags = np.fromiter(map(math.log, np.abs(x).tolist()), dtype=np.float64, count=x.size)
+    out[nonzero] = np.where(x < 0, -mags, mags)
+    return out
+
+
+def _bad_cell_error(csv_path, cols: list[list[str]], first_row: int) -> StoreError:
+    """The error for a block's first failing cell, scanning row by row."""
+    for row_num, cells in enumerate(zip(*cols), start=first_row):
+        for cell in cells:
+            text = cell.strip()
             if text == "":
-                values = None
                 break
             try:
                 value = float(text)
             except ValueError:
-                raise StoreError(
-                    f"{csv_path}: unparseable value {text!r} at row {row_num}"
-                ) from None
+                return StoreError(f"{csv_path}: unparseable value {text!r} at row {row_num}")
             if not math.isfinite(value):
-                raise StoreError(f"{csv_path}: non-finite value {text!r} at row {row_num}")
-            values.append(signed_log(value) if apply_log else value)
-        if values is None:
-            continue
-        buf.append(values)
-        kept += 1
-        if len(buf) >= 65536:
-            yield np.asarray(buf)
-            buf = []
-    if kept == 0:
-        raise StoreError(f"{csv_path}: zero retained rows")
-    if buf:
-        yield np.asarray(buf)
+                return StoreError(f"{csv_path}: non-finite value {text!r} at row {row_num}")
+    raise AssertionError("a block that failed to parse has no failing cell")

@@ -88,6 +88,53 @@ def test_empty_indices_rejected(small_dataset):
         handle.read_records([])
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n_rows=st.integers(1, 200),
+    n_cols=st.integers(1, 1000),
+    size=st.integers(1, 10_000),
+    seed=st.integers(0, 2**32 - 1),
+    order=st.sampled_from(["random", "sorted", "reversed"]),
+)
+def test_gather_equals_memmap_fancy_indexing(tmp_path_factory, n_rows, n_cols, size, seed, order):
+    n_cols = min(n_cols, 10**6 // size)  # at most 8 MB gathered
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-300, 300, (n_rows, n_cols))
+    matrix = rng.standard_normal((n_rows, n_cols)) * scale
+    path = tmp_path_factory.mktemp("gather") / "m.sjds"
+    write_matrix(matrix, path)
+    idx = rng.integers(0, n_rows, size=size)  # duplicates whenever size > n_rows
+    idx[rng.integers(0, size)] = 0
+    idx[rng.integers(0, size)] = n_rows - 1
+    if order != "random":
+        idx.sort()
+        idx = idx[::-1].copy() if order == "reversed" else idx
+    mapped = np.memmap(path, dtype="<f8", mode="r", offset=HEADER_SIZE, shape=(n_rows, n_cols))
+    batch = open_dataset(path).read_records(idx)
+    expected = np.array(mapped[idx], dtype=np.float64)
+    assert type(batch.rows) is np.ndarray
+    assert batch.rows.dtype == np.float64 and batch.rows.flags.c_contiguous
+    assert batch.rows.shape == expected.shape
+    assert batch.rows.tobytes() == expected.tobytes() == matrix[idx].tobytes()
+    np.testing.assert_array_equal(batch.source_indices, idx)
+
+
+@pytest.mark.parametrize("indices, error, text", [
+    ([100], IndexError, "row index 100 out of range [0, 100)"),
+    ([3, 250, -4], IndexError, "row index 250 out of range [0, 100)"),
+    ([-1], IndexError, "row index -1 out of range [0, 100)"),
+    ([0, -7, 1000], IndexError, "row index -7 out of range [0, 100)"),
+    ([], ValueError, "indices must be a non-empty 1-d sequence"),
+    ([[0, 1], [2, 3]], ValueError, "indices must be a non-empty 1-d sequence"),
+])
+def test_read_records_error_texts(small_dataset, indices, error, text):
+    handle, _ = small_dataset
+    with pytest.raises(error) as info:
+        handle.read_records(indices)
+    assert type(info.value) is error
+    assert str(info.value) == text
+
+
 def _valid_file(tmp_path):
     path = tmp_path / "v.sjds"
     write_matrix(np.arange(200, dtype=float).reshape(100, 2), path)
