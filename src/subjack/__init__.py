@@ -12,22 +12,18 @@ from .bench import BenchResult, bench_sampling
 from .estimator import (
     DomainEvalError,
     EstimateReport,
-    MomentVector,
     SubsampleResult,
     aggregate,
     confidence_interval,
     jackknife_chunk,
     jackknife_subsample,
     jackknife_subsample_naive,
-    loo_moment,
-    moment_mean,
     normal_quantile,
 )
 from .pipeline import run_estimate
 from .sampling import (
     RNG_ID,
     ExclusionSet,
-    SamplingPlan,
     draw_with_replacement,
     draw_without_replacement,
     subsample_seed,

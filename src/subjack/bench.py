@@ -6,6 +6,10 @@ timer, and each timed sample loops the draw for a minimum window. Repeats are
 interleaved across all grid cells so background load drifts onto every cell
 equally, and the per-cell median is reported. Runs single-threaded for timing
 fidelity.
+
+Repeat r of grid cell i draws subsamples k = 1..K from the master seed
+subsample_seed(subsample_seed(seed, BENCH_SEED_OFFSET + i), r), in both modes.
+Without replacement, the K draws exclude against one shared running set.
 """
 from __future__ import annotations
 
@@ -16,13 +20,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .sampling import BENCH_SEED_OFFSET, SamplingPlan, subsample_seed
+from .sampling import (
+    BENCH_SEED_OFFSET,
+    ExclusionSet,
+    draw_with_replacement,
+    draw_without_replacement,
+    subsample_seed,
+)
 from .simulate import temp_dataset
 from .store import open_dataset
 
 BENCH_CSV_COLUMNS = ["n", "K", "mode", "seconds", "mse"]
-
-_MODES = ("with_replacement", "without_replacement")
 
 # with-replacement draws at the paper's shapes take only 3-10 ms per pass
 _MIN_WINDOW_S = 0.05
@@ -43,15 +51,35 @@ class BenchResult:
         }
 
 
-def _timed_draw(plan: SamplingPlan) -> tuple[float, np.ndarray]:
+def _draw_with_replacement(n_rows: int, n: int, K: int, master_seed: int) -> list[np.ndarray]:
+    return [
+        draw_with_replacement(subsample_seed(master_seed, k), n_rows, n)
+        for k in range(1, K + 1)
+    ]
+
+
+def _draw_without_replacement(n_rows: int, n: int, K: int, master_seed: int) -> list[np.ndarray]:
+    """All K index sets, excluding against one running set shared by the K draws."""
+    drawn = ExclusionSet(capacity=n * K)
+    return [
+        draw_without_replacement(subsample_seed(master_seed, k), n_rows, n, drawn)
+        for k in range(1, K + 1)
+    ]
+
+
+# mode name -> function drawing all K subsamples of one run
+_DRAWS = {
+    "with_replacement": _draw_with_replacement,
+    "without_replacement": _draw_without_replacement,
+}
+
+
+def _timed_draw(draw, n_rows: int, n: int, K: int, master_seed: int) -> tuple[float, np.ndarray]:
     """Seconds per pass that draws all K subsamples, and the drawn indices."""
     passes = 0
     start = time.perf_counter()
     while True:
-        if plan.mode == "with_replacement":
-            chunks = [plan.indices_for(k) for k in range(1, plan.K + 1)]
-        else:
-            chunks = list(plan.iter_without_replacement())
+        chunks = draw(n_rows, n, K, master_seed)
         passes += 1
         elapsed = time.perf_counter() - start
         if elapsed >= _MIN_WINDOW_S:
@@ -77,31 +105,34 @@ def bench_sampling(
         with temp_dataset(subsample_seed(seed, 1), n_rows, np.eye(2)) as path:
             return bench_sampling(n_rows, grid, seed, repeats=repeats, data_path=path)
     handle = open_dataset(data_path)
-    cells = [(i, n, K, mode) for i, (n, K) in enumerate(grid) for mode in _MODES]
     # validate the whole grid up front so a bad cell fails before timing
-    plans = {}
-    for i, n, K, mode in cells:
-        point_seed = subsample_seed(seed, BENCH_SEED_OFFSET + i)
-        plans[(i, mode)] = [
-            SamplingPlan(n_rows=handle.row_count, n=n, K=K,
-                         master_seed=subsample_seed(point_seed, r), mode=mode)
-            for r in range(1, repeats + 1)
-        ]
+    for n, K in grid:
+        if n < 1:
+            raise ValueError("subsample size n must be >= 1")
+        if K < 1:
+            raise ValueError("subsample count K must be >= 1")
+        if n * K > handle.row_count:
+            raise ValueError(
+                f"without_replacement requires n*K <= n_rows "
+                f"({n}*{K} > {handle.row_count})"
+            )
+    cells = [(i, n, K, mode) for i, (n, K) in enumerate(grid) for mode in _DRAWS]
 
-    times: dict[tuple[int, str], list[float]] = {key: [] for key in plans}
-    errors: dict[tuple[int, str], list[float]] = {key: [] for key in plans}
-    for r in range(repeats):
-        for i, n, K, mode in cells:
-            elapsed, indices = _timed_draw(plans[(i, mode)][r])
-            times[(i, mode)].append(elapsed)
+    times: list[list[float]] = [[] for _ in cells]
+    errors: list[list[float]] = [[] for _ in cells]
+    for r in range(1, repeats + 1):
+        for (i, n, K, mode), cell_times, cell_errors in zip(cells, times, errors):
+            run_seed = subsample_seed(subsample_seed(seed, BENCH_SEED_OFFSET + i), r)
+            elapsed, indices = _timed_draw(_DRAWS[mode], handle.row_count, n, K, run_seed)
+            cell_times.append(elapsed)
             column_means = handle.read_records(indices).rows.mean(axis=0)
-            errors[(i, mode)].append(float(np.mean(column_means**2)))
+            cell_errors.append(float(np.mean(column_means**2)))
 
     return [
         BenchResult(
             n=n, K=K, mode=mode,
-            seconds=float(np.median(times[(i, mode)])),
-            mse=math.fsum(errors[(i, mode)]) / repeats,
+            seconds=float(np.median(cell_times)),
+            mse=math.fsum(cell_errors) / repeats,
         )
-        for i, n, K, mode in cells
+        for (_, n, K, mode), cell_times, cell_errors in zip(cells, times, errors)
     ]

@@ -163,7 +163,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (StoreError, DomainEvalError, ValueError, IndexError, OSError,
-            json.JSONDecodeError) as exc:
+            json.JSONDecodeError, csv.Error) as exc:
         print(f"subjack: error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,12 +34,6 @@ class DomainEvalError(Exception):
 
 
 @dataclass(frozen=True)
-class MomentVector:
-    values: np.ndarray  # (q,)
-    n_obs: int
-
-
-@dataclass(frozen=True)
 class SubsampleResult:
     k: int
     theta_hat: float
@@ -74,28 +68,6 @@ class EstimateReport:
     @classmethod
     def from_json(cls, text: str) -> "EstimateReport":
         return cls(**json.loads(text))
-
-
-def moment_mean(features) -> MomentVector:
-    """Column means of an (n, q) feature matrix."""
-    arr = np.asarray(features, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1:
-        raise ValueError("features must be a non-empty (n, q) matrix")
-    values = arr.mean(axis=0)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("moment mean is not finite")
-    return MomentVector(values=values, n_obs=arr.shape[0])
-
-
-def loo_moment(mu: MomentVector, phi_j, n: int) -> MomentVector:
-    """Mean with observation phi_j removed, via the O(q) downdate."""
-    if n < 2:
-        raise ValueError("jackknife needs n >= 2")
-    if mu.n_obs != n:
-        raise ValueError(f"moment holds {mu.n_obs} observations, expected {n}")
-    phi_j = np.asarray(phi_j, dtype=np.float64)
-    values = (n * mu.values - phi_j) / (n - 1)
-    return MomentVector(values=values, n_obs=n - 1)
 
 
 def _eval_at(stat: Statistic, point: np.ndarray, *, k: int, where: str) -> float:

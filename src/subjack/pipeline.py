@@ -1,11 +1,11 @@
 """End-to-end estimation over an on-disk dataset.
 
 Subsamples k = 1..K run in order in the calling thread, a chunk of Kc
-consecutive k at a time: each k derives its own seed and draws its indices,
-then the chunk's rows are read in one gather, mapped by phi, and jackknifed by
-one kernel call. Results are reduced in k order, so the report does not depend
-on the chunk size. Kc keeps a chunk's gathered rows, and its features, within
-CHUNK_BYTES.
+consecutive k at a time: each k draws its indices with
+draw_with_replacement(subsample_seed(master_seed, k), N, n), then the chunk's
+rows are read in one gather, mapped by phi, and jackknifed by one kernel call.
+Results are reduced in k order, so the report does not depend on the chunk
+size. Kc keeps a chunk's gathered rows, and its features, within CHUNK_BYTES.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimator import EstimateReport, aggregate, jackknife_chunk
-from .sampling import RNG_ID, SamplingPlan
+from .sampling import RNG_ID, draw_with_replacement, subsample_seed
 from .stats import Statistic, parse_statistic
 from .store import DatasetHandle, open_dataset
 
@@ -42,13 +42,17 @@ def run_estimate(
     stat.validate_columns(handle.col_count)
     if n < 2:
         raise ValueError("jackknife estimation needs subsample size n >= 2")
-    plan = SamplingPlan(n_rows=handle.row_count, n=n, K=K, master_seed=master_seed)
+    if K < 1:
+        raise ValueError("subsample count K must be >= 1")
 
     chunk = max(1, CHUNK_BYTES // (8 * n * max(stat.q, handle.col_count)))
     results = []
     for first in range(1, K + 1, chunk):
         ks = range(first, min(first + chunk, K + 1))
-        indices = np.concatenate([plan.indices_for(k) for k in ks])
+        indices = np.concatenate([
+            draw_with_replacement(subsample_seed(master_seed, k), handle.row_count, n)
+            for k in ks
+        ])
         features = stat.phi(handle.read_records(indices).rows)
         results += jackknife_chunk(stat, features.reshape(len(ks), n, stat.q), ks)
     return aggregate(

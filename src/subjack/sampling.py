@@ -15,12 +15,13 @@ Randomness scheme (recorded as RNG_ID in every report):
     half of all candidates are accepted.
 
 Every index stream is a pure function of (seed, N, n) regardless of batching
-or which worker performs the draw.
+or which worker performs the draw. Subsample k of a run with master seed s
+draws draw_with_replacement(subsample_seed(s, k), N, n), so it does not
+depend on K either.
 """
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,46 +177,3 @@ def draw_without_replacement(
         out[filled] = cand
         filled += 1
     return out
-
-
-@dataclass(frozen=True)
-class SamplingPlan:
-    """Validated sampling configuration for one run."""
-
-    n_rows: int
-    n: int
-    K: int
-    master_seed: int
-    mode: str = "with_replacement"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("subsample size n must be >= 1")
-        if self.K < 1:
-            raise ValueError("subsample count K must be >= 1")
-        if self.n_rows < 1:
-            raise ValueError("n_rows must be >= 1")
-        if self.mode not in ("with_replacement", "without_replacement"):
-            raise ValueError(f"unknown sampling mode {self.mode!r}")
-        if self.mode == "without_replacement" and self.n * self.K > self.n_rows:
-            raise ValueError(
-                f"without_replacement requires n*K <= n_rows "
-                f"({self.n}*{self.K} > {self.n_rows})"
-            )
-
-    def seed_for(self, k: int) -> int:
-        return subsample_seed(self.master_seed, k)
-
-    def indices_for(self, k: int) -> np.ndarray:
-        """With-replacement indices for subsample k; pure in (master_seed, k)."""
-        if self.mode != "with_replacement":
-            raise ValueError("per-k draws are only defined for with_replacement mode")
-        return draw_with_replacement(self.seed_for(k), self.n_rows, self.n)
-
-    def iter_without_replacement(self):
-        """Yield all K index sets, excluding against one shared running set."""
-        if self.mode != "without_replacement":
-            raise ValueError("plan is not in without_replacement mode")
-        drawn = ExclusionSet(capacity=self.n * self.K)
-        for k in range(1, self.K + 1):
-            yield draw_without_replacement(self.seed_for(k), self.n_rows, self.n, drawn)

@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .estimator import normal_quantile
+from .estimator import confidence_interval
 from .pipeline import run_estimate
 from .sampling import REPLICATION_SEED_OFFSET, checked_seed, subsample_seed
 from .stats import parse_statistic
@@ -140,8 +140,6 @@ class ReplicationMetrics:
     ecp_jds: float
     rae_median_sos: float
     rae_median_jds: float
-    rae_sos: list[float] = field(repr=False)
-    rae_jds: list[float] = field(repr=False)
     per_rep: list[PerReplication] = field(repr=False)
 
     def csv_row(self) -> dict[str, Any]:
@@ -241,18 +239,10 @@ def run_replications(cfg: ExperimentConfig, *, workers: int | None = 1) -> Repli
     with _dataset_path(cfg.dataset) as path:
         reps = _collect_replications(cfg, path, workers)
 
-    z = normal_quantile(1.0 - cfg.alpha / 2.0)
     per_rep = [
-        PerReplication(
-            m=m,
-            theta_sos=sos,
-            theta_jds=jds,
-            se=se,
-            ci_low_jds=jds - z * se,
-            ci_high_jds=jds + z * se,
-            ci_low_sos=sos - z * se,
-            ci_high_sos=sos + z * se,
-        )
+        PerReplication(m, sos, jds, se,
+                       *confidence_interval(jds, se, cfg.alpha),
+                       *confidence_interval(sos, se, cfg.alpha))
         for m, sos, jds, se in reps
     ]
 
@@ -271,8 +261,8 @@ def run_replications(cfg: ExperimentConfig, *, workers: int | None = 1) -> Repli
         ecp_jds = sum(1 for r in per_rep if r.ci_low_jds <= theta <= r.ci_high_jds) / M
     se_sos = _sample_sd(sos_vals)
     se_jds = _sample_sd(jds_vals)
-    rae_sos = [abs(se / se_sos - 1.0) if se_sos > 0 else float("nan") for se in se_vals]
-    rae_jds = [abs(se / se_jds - 1.0) if se_jds > 0 else float("nan") for se in se_vals]
+    rel_err_sos = [abs(se / se_sos - 1.0) if se_sos > 0 else float("nan") for se in se_vals]
+    rel_err_jds = [abs(se / se_jds - 1.0) if se_jds > 0 else float("nan") for se in se_vals]
 
     def _median(values: list[float]) -> float:
         return float(np.median(values)) if values and not math.isnan(values[0]) else float("nan")
@@ -285,10 +275,8 @@ def run_replications(cfg: ExperimentConfig, *, workers: int | None = 1) -> Repli
         se_jds=se_jds,
         ecp_sos=ecp_sos,
         ecp_jds=ecp_jds,
-        rae_median_sos=_median(rae_sos),
-        rae_median_jds=_median(rae_jds),
-        rae_sos=rae_sos,
-        rae_jds=rae_jds,
+        rae_median_sos=_median(rel_err_sos),
+        rae_median_jds=_median(rel_err_jds),
         per_rep=per_rep,
     )
 

@@ -14,7 +14,7 @@ import pytest
 
 from subjack.bench import bench_sampling
 from subjack.estimator import aggregate, jackknife_subsample, jackknife_subsample_naive
-from subjack.sampling import SamplingPlan
+from subjack.sampling import draw_with_replacement, subsample_seed
 from subjack.simulate import ExperimentConfig, generate_bivariate_normal, run_replications
 from subjack.stats import (
     stat_correlation,
@@ -93,13 +93,14 @@ def test_criterion_2_linear_g_collapse(tmp_path):
     write_matrix(rng.normal(10.0, 5.0, size=(50_000, 1)), path)
     handle = open_dataset(path)
     stat = stat_mean(0)
-    plan = SamplingPlan(n_rows=handle.row_count, n=100, K=200, master_seed=17)
 
     start = time.perf_counter()
     results = []
     worst = 0.0
     for k in range(1, 201):
-        batch = handle.read_records(plan.indices_for(k))
+        batch = handle.read_records(
+            draw_with_replacement(subsample_seed(17, k), handle.row_count, 100)
+        )
         res = jackknife_subsample(stat, stat.phi(batch.rows), k=k)
         worst = max(worst, abs(res.theta_hat - res.theta_jds) / abs(res.theta_hat))
         results.append(res)

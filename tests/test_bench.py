@@ -3,6 +3,7 @@ import tempfile
 
 import pytest
 
+from subjack import bench
 from subjack.bench import bench_sampling
 from subjack.simulate import generate_bivariate_normal
 
@@ -37,6 +38,19 @@ def test_bench_without_replacement_needs_room(bench_dataset):
     with pytest.raises(ValueError, match="n\\*K"):
         bench_sampling(200_000, [(100_000, 3)], seed=1, repeats=1,
                        data_path=bench_dataset)
+
+
+@pytest.mark.parametrize("bad,message", [
+    ((10, 0), "subsample count K must be >= 1"),
+    ((0, 10), "subsample size n must be >= 1"),
+])
+def test_bench_bad_grid_cell_fails_before_timing(bench_dataset, monkeypatch, bad, message):
+    timed = []
+    monkeypatch.setattr(bench, "_timed_draw", lambda *args: timed.append(args))
+    with pytest.raises(ValueError) as exc:
+        bench_sampling(200_000, [(10, 5), bad], seed=1, repeats=1, data_path=bench_dataset)
+    assert str(exc.value) == message
+    assert timed == []
 
 
 def test_bench_generates_own_dataset_when_missing():

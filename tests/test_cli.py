@@ -160,6 +160,27 @@ def test_convert_cli(capsys, tmp_path):
     assert json.loads(out)["row_count"] == 2
 
 
+def test_convert_reader_error_exit_code(capsys, tmp_path):
+    csv_path = tmp_path / "huge.csv"
+    csv_path.write_text("x,y\n1," + "z" * (csv.field_size_limit() + 1) + "\n")
+    out_path = tmp_path / "out.sjds"
+    code, out, err = _run(capsys, ["convert", "--csv", str(csv_path), "--columns", "x,y",
+                                   "--out", str(out_path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("subjack: error: field larger than field limit")
+    assert "Traceback" not in err
+    assert not out_path.exists()
+
+
+def test_estimate_zero_subsamples_exit_code(capsys, cli_dataset):
+    code, out, err = _run(capsys, ["estimate", "--data", cli_dataset, "--stat", "mean:0",
+                                   "--n", "10", "--k", "0", "--seed", "1"])
+    assert code == 2
+    assert out == ""
+    assert err == "subjack: error: subsample count K must be >= 1\n"
+
+
 def test_simulate_cli_smoke(capsys, tmp_path, cli_dataset):
     config = {
         "dataset": cli_dataset, "statistic": "corr:0,1", "n": 30, "K": 10,

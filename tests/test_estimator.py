@@ -8,15 +8,12 @@ from hypothesis import strategies as st
 from subjack.estimator import (
     DomainEvalError,
     EstimateReport,
-    MomentVector,
     SubsampleResult,
     aggregate,
     confidence_interval,
     jackknife_chunk,
     jackknife_subsample,
     jackknife_subsample_naive,
-    loo_moment,
-    moment_mean,
     normal_quantile,
 )
 from subjack.stats import (
@@ -40,71 +37,6 @@ def _square_stat():
 
 
 DATA_123 = np.array([[1.0], [2.0], [3.0]])
-
-
-def test_moment_mean_small():
-    mv = moment_mean(DATA_123)
-    assert mv.values[0] == 2.0
-    assert mv.n_obs == 3
-
-
-def test_moment_mean_single_row():
-    mv = moment_mean(np.array([[4.5, -1.0]]))
-    np.testing.assert_array_equal(mv.values, [4.5, -1.0])
-    assert mv.n_obs == 1
-
-
-def test_moment_mean_matches_summation_oracle():
-    rng = np.random.default_rng(21)
-    features = rng.normal(2.0, 3.0, size=(50, 3))
-    mv = moment_mean(features)
-    for col in range(3):
-        oracle = math.fsum(features[:, col]) / 50
-        assert abs(mv.values[col] - oracle) <= 1e-12 * abs(oracle)
-
-
-def test_moment_mean_rejects_empty():
-    with pytest.raises(ValueError):
-        moment_mean(np.empty((0, 2)))
-
-
-def test_loo_moment_small():
-    mu = moment_mean(DATA_123)
-    dropped = loo_moment(mu, np.array([3.0]), 3)
-    assert dropped.values[0] == pytest.approx(1.5, rel=1e-15)
-    assert dropped.n_obs == 2
-
-
-def test_loo_moment_dropping_mean_row_is_identity():
-    mu = moment_mean(DATA_123)
-    dropped = loo_moment(mu, mu.values, 3)
-    assert dropped.values[0] == pytest.approx(mu.values[0], rel=1e-15)
-
-
-def test_loo_moment_matches_direct_recomputation():
-    rng = np.random.default_rng(31)
-    for _ in range(100):
-        n = int(rng.integers(2, 40))
-        q = int(rng.integers(1, 5))
-        features = rng.normal(1.0, 2.0, size=(n, q))
-        j = int(rng.integers(0, n))
-        mu = moment_mean(features)
-        fast = loo_moment(mu, features[j], n)
-        direct = np.delete(features, j, axis=0).mean(axis=0)
-        np.testing.assert_allclose(fast.values, direct, rtol=1e-12, atol=1e-14)
-
-
-def test_loo_moment_needs_two_observations():
-    with pytest.raises(ValueError, match="jackknife needs n >= 2"):
-        loo_moment(MomentVector(values=np.array([1.0]), n_obs=1), np.array([1.0]), 1)
-
-
-def test_loo_mean_identity():
-    rng = np.random.default_rng(41)
-    features = rng.normal(5.0, 2.0, size=(30, 4))
-    mu = moment_mean(features)
-    loo_stack = np.array([loo_moment(mu, features[j], 30).values for j in range(30)])
-    np.testing.assert_allclose(loo_stack.mean(axis=0), mu.values, rtol=1e-12)
 
 
 def test_jackknife_square_stat_hand_computed():

@@ -6,7 +6,7 @@ import pytest
 
 from subjack.estimator import DomainEvalError, aggregate, jackknife_chunk
 from subjack.pipeline import CHUNK_BYTES, run_estimate
-from subjack.sampling import RNG_ID, SamplingPlan
+from subjack.sampling import RNG_ID, draw_with_replacement, subsample_seed
 from subjack.simulate import generate_bivariate_normal
 from subjack.stats import parse_statistic
 from subjack.store import open_dataset, write_matrix
@@ -56,6 +56,13 @@ def test_column_out_of_range(sigma_dataset):
 def test_subsample_size_must_allow_jackknife(sigma_dataset):
     with pytest.raises(ValueError, match="n >= 2"):
         run_estimate(sigma_dataset, "mean:0", 1, 5, 1)
+
+
+@pytest.mark.parametrize("K", [0, -3])
+def test_subsample_count_must_be_positive(sigma_dataset, K):
+    with pytest.raises(ValueError) as exc:
+        run_estimate(sigma_dataset, "mean:0", 10, K, 1)
+    assert str(exc.value) == "subsample count K must be >= 1"
 
 
 def test_domain_failure_names_subsample(tmp_path):
@@ -142,8 +149,10 @@ def test_first_failure_past_a_chunk_boundary_keeps_its_text(wide_integer_dataset
 def test_chunk_boundaries_never_change_results(sigma_dataset, splits):
     stat, n, K, seed = parse_statistic("kurt:0"), 50, 60, 42
     handle = open_dataset(sigma_dataset)
-    plan = SamplingPlan(n_rows=handle.row_count, n=n, K=K, master_seed=seed)
-    indices = np.concatenate([plan.indices_for(k) for k in range(1, K + 1)])
+    indices = np.concatenate([
+        draw_with_replacement(subsample_seed(seed, k), handle.row_count, n)
+        for k in range(1, K + 1)
+    ])
     features = stat.phi(handle.read_records(indices).rows).reshape(K, n, stat.q)
     results, first = [], 0
     for size in splits:

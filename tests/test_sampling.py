@@ -4,7 +4,6 @@ from scipy import stats as sps
 
 from subjack.sampling import (
     ExclusionSet,
-    SamplingPlan,
     draw_with_replacement,
     draw_without_replacement,
     subsample_seed,
@@ -81,34 +80,28 @@ def test_without_replacement_insufficient_room():
 
 def test_birthday_duplicates_with_replacement():
     # nK = 100 draws from N = 100: duplicates essentially certain
-    plan = SamplingPlan(n_rows=100, n=10, K=10, master_seed=6)
-    stream = np.concatenate([plan.indices_for(k) for k in range(1, 11)])
+    stream = np.concatenate(
+        [draw_with_replacement(subsample_seed(6, k), 100, 10) for k in range(1, 11)]
+    )
     assert len(np.unique(stream)) < stream.size
 
 
 def test_plan_validation():
-    with pytest.raises(ValueError, match="n\\*K"):
-        SamplingPlan(n_rows=10, n=5, K=3, master_seed=0, mode="without_replacement")
+    # n*K = 15 > 10 rows: the third without-replacement draw finds no room
+    drawn = ExclusionSet(capacity=15)
+    for k in (1, 2):
+        draw_without_replacement(subsample_seed(0, k), 10, 5, drawn)
+    with pytest.raises(ValueError, match="insufficient room"):
+        draw_without_replacement(subsample_seed(0, 3), 10, 5, drawn)
     with pytest.raises(ValueError):
-        SamplingPlan(n_rows=10, n=0, K=1, master_seed=0)
-    with pytest.raises(ValueError):
-        SamplingPlan(n_rows=10, n=1, K=0, master_seed=0)
-    with pytest.raises(ValueError, match="mode"):
-        SamplingPlan(n_rows=10, n=1, K=1, master_seed=0, mode="bogus")
-
-
-def test_plan_draws_depend_only_on_master_and_ordinal():
-    one = SamplingPlan(n_rows=5000, n=20, K=100, master_seed=11)
-    two = SamplingPlan(n_rows=5000, n=20, K=7, master_seed=11)
-    np.testing.assert_array_equal(one.indices_for(5), two.indices_for(5))
-    np.testing.assert_array_equal(
-        one.indices_for(5), draw_with_replacement(subsample_seed(11, 5), 5000, 20)
-    )
+        draw_with_replacement(subsample_seed(0, 1), 10, 0)
 
 
 def test_without_replacement_full_run_duplicate_free():
-    plan = SamplingPlan(n_rows=2000, n=25, K=8, master_seed=3, mode="without_replacement")
-    stream = np.concatenate(list(plan.iter_without_replacement()))
+    drawn = ExclusionSet(capacity=25 * 8)
+    stream = np.concatenate(
+        [draw_without_replacement(subsample_seed(3, k), 2000, 25, drawn) for k in range(1, 9)]
+    )
     assert stream.size == 200
     assert len(np.unique(stream)) == 200
 
