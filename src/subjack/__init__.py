@@ -24,6 +24,7 @@ from .pipeline import run_estimate
 from .sampling import (
     RNG_ID,
     ExclusionSet,
+    draw_chunk,
     draw_with_replacement,
     draw_without_replacement,
     subsample_seed,

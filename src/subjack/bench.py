@@ -23,7 +23,8 @@ import numpy as np
 from .sampling import (
     BENCH_SEED_OFFSET,
     ExclusionSet,
-    draw_with_replacement,
+    checked_master_seed,
+    draw_chunk,
     draw_without_replacement,
     subsample_seed,
 )
@@ -51,20 +52,18 @@ class BenchResult:
         }
 
 
-def _draw_with_replacement(n_rows: int, n: int, K: int, master_seed: int) -> list[np.ndarray]:
-    return [
-        draw_with_replacement(subsample_seed(master_seed, k), n_rows, n)
-        for k in range(1, K + 1)
-    ]
+def _draw_with_replacement(n_rows: int, n: int, K: int, master_seed: int) -> np.ndarray:
+    seeds = [subsample_seed(master_seed, k) for k in range(1, K + 1)]
+    return draw_chunk(seeds, n_rows, n).ravel()
 
 
-def _draw_without_replacement(n_rows: int, n: int, K: int, master_seed: int) -> list[np.ndarray]:
+def _draw_without_replacement(n_rows: int, n: int, K: int, master_seed: int) -> np.ndarray:
     """All K index sets, excluding against one running set shared by the K draws."""
     drawn = ExclusionSet(capacity=n * K)
-    return [
+    return np.concatenate([
         draw_without_replacement(subsample_seed(master_seed, k), n_rows, n, drawn)
         for k in range(1, K + 1)
-    ]
+    ])
 
 
 # mode name -> function drawing all K subsamples of one run
@@ -79,11 +78,11 @@ def _timed_draw(draw, n_rows: int, n: int, K: int, master_seed: int) -> tuple[fl
     passes = 0
     start = time.perf_counter()
     while True:
-        chunks = draw(n_rows, n, K, master_seed)
+        indices = draw(n_rows, n, K, master_seed)
         passes += 1
         elapsed = time.perf_counter() - start
         if elapsed >= _MIN_WINDOW_S:
-            return elapsed / passes, np.concatenate(chunks)
+            return elapsed / passes, indices
 
 
 def bench_sampling(
@@ -99,6 +98,7 @@ def bench_sampling(
     The dataset holds iid standard bivariate normal rows, so the sample mean
     of all drawn rows estimates zero and its squared error is the MSE column.
     """
+    seed = checked_master_seed(seed)
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     if data_path is None:

@@ -1,20 +1,19 @@
 """End-to-end estimation over an on-disk dataset.
 
 Subsamples k = 1..K run in order in the calling thread, a chunk of Kc
-consecutive k at a time: each k draws its indices with
-draw_with_replacement(subsample_seed(master_seed, k), N, n), then the chunk's
-rows are read in one gather, mapped by phi, and jackknifed by one kernel call.
-Results are reduced in k order, so the report does not depend on the chunk
-size. Kc keeps a chunk's gathered rows, and its features, within CHUNK_BYTES.
+consecutive k at a time: one draw_chunk call draws the indices of every k in
+the chunk, row k being the stream keyed by subsample_seed(master_seed, k);
+then the chunk's rows are read in one gather, mapped by phi, and jackknifed by
+one kernel call. Results are reduced in k order, so the report does not depend
+on the chunk size. Kc keeps a chunk's gathered rows, and its features, within
+CHUNK_BYTES.
 """
 from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from .estimator import EstimateReport, aggregate, jackknife_chunk
-from .sampling import RNG_ID, draw_with_replacement, subsample_seed
+from .sampling import RNG_ID, checked_master_seed, draw_chunk, subsample_seed
 from .stats import Statistic, parse_statistic
 from .store import DatasetHandle, open_dataset
 
@@ -44,16 +43,15 @@ def run_estimate(
         raise ValueError("jackknife estimation needs subsample size n >= 2")
     if K < 1:
         raise ValueError("subsample count K must be >= 1")
+    master_seed = checked_master_seed(master_seed)
 
     chunk = max(1, CHUNK_BYTES // (8 * n * max(stat.q, handle.col_count)))
     results = []
     for first in range(1, K + 1, chunk):
         ks = range(first, min(first + chunk, K + 1))
-        indices = np.concatenate([
-            draw_with_replacement(subsample_seed(master_seed, k), handle.row_count, n)
-            for k in ks
-        ])
-        features = stat.phi(handle.read_records(indices).rows)
+        seeds = [subsample_seed(master_seed, k) for k in ks]
+        indices = draw_chunk(seeds, handle.row_count, n)
+        features = stat.phi(handle.read_records(indices.ravel()).rows)
         results += jackknife_chunk(stat, features.reshape(len(ks), n, stat.q), ks)
     return aggregate(
         results,

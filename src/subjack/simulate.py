@@ -20,7 +20,12 @@ import numpy as np
 
 from .estimator import confidence_interval
 from .pipeline import run_estimate
-from .sampling import REPLICATION_SEED_OFFSET, checked_seed, subsample_seed
+from .sampling import (
+    REPLICATION_SEED_OFFSET,
+    checked_master_seed,
+    checked_seed,
+    subsample_seed,
+)
 from .stats import parse_statistic
 from .store import DatasetHeader, write_blocks
 
@@ -98,6 +103,7 @@ class ExperimentConfig:
             raise ValueError("jackknife estimation needs subsample size n >= 2")
         if self.K < 1:
             raise ValueError("subsample count K must be >= 1")
+        checked_master_seed(self.master_seed)
         stat = parse_statistic(self.statistic)
         if isinstance(self.dataset, dict):
             _parse_generator_spec(self.dataset)

@@ -53,6 +53,13 @@ def test_bench_bad_grid_cell_fails_before_timing(bench_dataset, monkeypatch, bad
     assert timed == []
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_bench_rejects_master_seed_that_would_alias(bench_dataset, seed):
+    with pytest.raises(ValueError) as exc:
+        bench_sampling(200_000, [(10, 2)], seed=seed, repeats=1, data_path=bench_dataset)
+    assert str(exc.value) == f"master seed must be an integer in [0, 2**64), got {seed}"
+
+
 def test_bench_generates_own_dataset_when_missing():
     results = bench_sampling(20_000, [(50, 5)], seed=2, repeats=1)
     assert len(results) == 2

@@ -181,6 +181,14 @@ def test_estimate_zero_subsamples_exit_code(capsys, cli_dataset):
     assert err == "subjack: error: subsample count K must be >= 1\n"
 
 
+def test_estimate_negative_master_seed_exit_code(capsys, cli_dataset):
+    code, out, err = _run(capsys, ["estimate", "--data", cli_dataset, "--stat", "mean:0",
+                                   "--n", "10", "--k", "5", "--seed", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err == "subjack: error: master seed must be an integer in [0, 2**64), got -1\n"
+
+
 def test_simulate_cli_smoke(capsys, tmp_path, cli_dataset):
     config = {
         "dataset": cli_dataset, "statistic": "corr:0,1", "n": 30, "K": 10,
@@ -223,6 +231,17 @@ def test_simulate_cli_bad_second_spec_fails_before_running(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "missing field 'seed'" in err
+
+
+def test_simulate_cli_negative_master_seed_fails_before_running(capsys, tmp_path):
+    config = {"dataset": {"rows": 2000, "seed": 1}, "statistic": "mean:0", "n": 20,
+              "K": 5, "M": 2, "master_seed": -1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    code, out, err = _run(capsys, ["simulate", "--config", str(cfg_path), "--workers", "1"])
+    assert code == 2
+    assert out == ""
+    assert err == "subjack: error: master seed must be an integer in [0, 2**64), got -1\n"
 
 
 def test_simulate_cli_bad_config(capsys, tmp_path):

@@ -65,6 +65,18 @@ def test_subsample_count_must_be_positive(sigma_dataset, K):
     assert str(exc.value) == "subsample count K must be >= 1"
 
 
+@pytest.mark.parametrize("master", [-1, 2**64 + 5, 1.5])
+def test_master_seed_that_would_alias_is_rejected(sigma_dataset, master):
+    # subsample_seed folds the master seed mod 2**64: 2**64 + 5 would run seed 5
+    with pytest.raises(ValueError) as exc:
+        run_estimate(sigma_dataset, "mean:0", 10, 5, master)
+    assert str(exc.value) == f"master seed must be an integer in [0, 2**64), got {master!r}"
+
+
+def test_largest_master_seed_is_recorded(sigma_dataset):
+    assert run_estimate(sigma_dataset, "mean:0", 10, 5, 2**64 - 1).master_seed == 2**64 - 1
+
+
 def test_domain_failure_names_subsample(tmp_path):
     path = tmp_path / "flat.sjds"
     write_matrix(np.full((500, 1), 3.0), path)

@@ -4,6 +4,8 @@ from scipy import stats as sps
 
 from subjack.sampling import (
     ExclusionSet,
+    checked_master_seed,
+    draw_chunk,
     draw_with_replacement,
     draw_without_replacement,
     subsample_seed,
@@ -131,6 +133,43 @@ def test_draw_matches_freshly_keyed_philox(seed, n_rows):
         np.testing.assert_array_equal(got, _fresh_philox_draw(seed, n_rows, n))
 
 
+def _first_block_is_short(seed, n_rows, n):
+    # fewer than n of the stream's first max(2n, 16) words are accepted
+    mask = np.uint64((1 << (n_rows - 1).bit_length()) - 1 if n_rows > 1 else 0)
+    words = np.random.Philox(key=seed).random_raw(max(2 * n, 16)) & mask
+    return int((words < np.uint64(n_rows)).sum()) < n
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 3, 2**20, 2**20 + 1, 10**6])
+def test_chunk_draw_matches_freshly_keyed_philox(n_rows):
+    # each seed twice, in two orders, so a row never depends on its position
+    seeds = REKEY_SEEDS + REKEY_SEEDS[::-1]
+    short_rows = 0
+    for n in (1, 2, 50, 500):
+        got = draw_chunk(seeds, n_rows, n)
+        assert got.dtype == np.int64
+        assert got.shape == (len(seeds), n)
+        for seed, row in zip(seeds, got):
+            np.testing.assert_array_equal(row, _fresh_philox_draw(seed, n_rows, n))
+            short_rows += _first_block_is_short(seed, n_rows, n)
+    if n_rows == 2**20 + 1:
+        # about half the words are accepted, so some rows need a second block
+        assert short_rows > 0
+
+
+def test_chunk_draw_of_no_seeds_is_empty():
+    assert draw_chunk([], 10, 3).shape == (0, 3)
+
+
+def test_chunk_draw_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="n_rows must be >= 1"):
+        draw_chunk([1], 0, 3)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        draw_chunk([1], 10, 0)
+    with pytest.raises(ValueError, match="seed must be in"):
+        draw_chunk([1, 2**128], 10, 3)
+
+
 def test_interleaved_seeds_leak_no_stream_state():
     # n = 9 and 11 take 18 and 22 raw words, leaving the reused generator
     # part-way through a 4-word Philox block between calls
@@ -140,6 +179,10 @@ def test_interleaved_seeds_leak_no_stream_state():
         for s in seeds:
             for n in (9, 11):
                 np.testing.assert_array_equal(draw_with_replacement(s, 10**6, n), expected[(s, n)])
+        for n in (9, 11):
+            rows = draw_chunk(seeds + seeds[::-1], 10**6, n)
+            for s, row in zip(seeds + seeds[::-1], rows):
+                np.testing.assert_array_equal(row, expected[(s, n)])
 
 
 def test_draw_in_another_thread_matches():
@@ -150,6 +193,53 @@ def test_draw_in_another_thread_matches():
     worker.start()
     worker.join()
     np.testing.assert_array_equal(got["a"], _fresh_philox_draw(9, 1000, 64))
+
+
+def test_concurrent_chunk_draws_keep_their_own_streams():
+    import sys
+    import threading
+
+    # 2**20 + 1 rows make short rows, which re-key mid-chunk; three threads on
+    # a short switch interval interleave their re-keys as often as possible
+    n_rows, n, rounds = 2**20 + 1, 50, 20
+    seeds = {master: [subsample_seed(master, k) for k in range(1, 41)]
+             for master in (0, 5, 2**64 - 1)}
+    start = threading.Barrier(len(seeds))
+    got = {}
+
+    def work(master):
+        start.wait()
+        got[master] = [draw_chunk(seeds[master], n_rows, n) for _ in range(rounds)]
+
+    workers = [threading.Thread(target=work, args=(master,)) for master in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    for master, chunks in got.items():
+        expected = np.stack([_fresh_philox_draw(s, n_rows, n) for s in seeds[master]])
+        assert len(chunks) == rounds
+        for chunk in chunks:
+            np.testing.assert_array_equal(chunk, expected)
+    assert sorted(got) == sorted(seeds)
+
+
+@pytest.mark.parametrize("master", [0, 5, 2**64 - 1, np.uint64(7)])
+def test_master_seed_in_range_is_accepted(master):
+    assert checked_master_seed(master) == int(master)
+
+
+@pytest.mark.parametrize("master", [-1, 2**64, 2**64 + 5, 1.5, "5", None])
+def test_master_seed_that_would_alias_is_rejected(master):
+    with pytest.raises(ValueError) as exc:
+        checked_master_seed(master)
+    assert str(exc.value) == f"master seed must be an integer in [0, 2**64), got {master!r}"
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128])

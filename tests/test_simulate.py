@@ -185,6 +185,14 @@ def test_config_validation():
             ExperimentConfig(dataset=spec, statistic="mean:0", n=5, K=5, M=1)
 
 
+@pytest.mark.parametrize("master", [-1, 2**64, 1.5])
+def test_config_rejects_master_seed_that_would_alias(master):
+    # 1.5 would run seed 1, and 2**64 seed 0, with the given value in the CSV
+    with pytest.raises(ValueError) as exc:
+        ExperimentConfig(dataset="x", statistic="mean:0", n=5, K=5, M=1, master_seed=master)
+    assert str(exc.value) == f"master seed must be an integer in [0, 2**64), got {master!r}"
+
+
 def test_replication_seed_offset_avoids_estimate_ordinals():
     from subjack.sampling import subsample_seed
 
