@@ -23,6 +23,7 @@ import numpy as np
 from .sampling import (
     BENCH_SEED_OFFSET,
     ExclusionSet,
+    checked_count,
     checked_master_seed,
     draw_chunk,
     draw_without_replacement,
@@ -99,18 +100,15 @@ def bench_sampling(
     of all drawn rows estimates zero and its squared error is the MSE column.
     """
     seed = checked_master_seed(seed)
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    repeats = checked_count(repeats, "repeats")
+    # validate the whole grid up front so a bad cell fails before any dataset or timing
+    grid = [(checked_count(n, "subsample size n"), checked_count(K, "subsample count K"))
+            for n, K in grid]
     if data_path is None:
         with temp_dataset(subsample_seed(seed, 1), n_rows, np.eye(2)) as path:
             return bench_sampling(n_rows, grid, seed, repeats=repeats, data_path=path)
     handle = open_dataset(data_path)
-    # validate the whole grid up front so a bad cell fails before timing
     for n, K in grid:
-        if n < 1:
-            raise ValueError("subsample size n must be >= 1")
-        if K < 1:
-            raise ValueError("subsample count K must be >= 1")
         if n * K > handle.row_count:
             raise ValueError(
                 f"without_replacement requires n*K <= n_rows "

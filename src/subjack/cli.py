@@ -107,7 +107,7 @@ def _cmd_generate(args) -> int:
 def _cmd_estimate(args) -> int:
     report = run_estimate(
         args.data, args.stat, args.n, args.k, args.seed,
-        alpha=args.alpha, workers=args.workers, ci_center=args.mode,
+        alpha=args.alpha, ci_center=args.mode,
     )
     print(report.to_json() if args.format == "json" else report.to_table())
     return 0

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -267,10 +268,18 @@ def normal_quantile(p: float) -> float:
     return num / den
 
 
-def confidence_interval(theta: float, se: float, alpha: float) -> tuple[float, float]:
-    """theta -+ se * z_{1-alpha/2}."""
+def checked_alpha(alpha: float) -> float:
+    """alpha as a float, if it is a number in (0, 1)."""
+    if not isinstance(alpha, numbers.Real):
+        raise ValueError(f"alpha must be a number, got {alpha!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    return float(alpha)
+
+
+def confidence_interval(theta: float, se: float, alpha: float) -> tuple[float, float]:
+    """theta -+ se * z_{1-alpha/2}."""
+    alpha = checked_alpha(alpha)
     if se < 0:
         raise ValueError("standard error must be >= 0")
     z = normal_quantile(1.0 - alpha / 2.0)

@@ -10,14 +10,45 @@ CHUNK_BYTES.
 """
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
-from .estimator import EstimateReport, aggregate, jackknife_chunk
-from .sampling import RNG_ID, checked_master_seed, draw_chunk, subsample_seed
+from .estimator import EstimateReport, aggregate, checked_alpha, jackknife_chunk
+from .sampling import RNG_ID, checked_count, checked_master_seed, draw_chunk, subsample_seed
 from .stats import Statistic, parse_statistic
-from .store import DatasetHandle, open_dataset
+from .store import DatasetHandle, DatasetHeader, open_dataset, read_header
 
 CHUNK_BYTES = 2**20
+
+
+def check_run(
+    dataset: DatasetHandle | DatasetHeader | str | Path,
+    statistic: Statistic | str,
+    n: int,
+    K: int,
+    master_seed: int,
+    alpha: float,
+) -> tuple[Statistic, int, int, int, float]:
+    """Check a run request; return (statistic, n, K, master_seed, alpha), checked.
+
+    The one check of a run's arguments: run_estimate calls it before drawing,
+    and ExperimentConfig when it is built. A spec is parsed into a Statistic;
+    n, K and the master seed come back as ints. The statistic's columns are
+    checked last, against a handle or header, or against the header read from
+    a path only then, so every other bad argument fails without touching disk.
+    """
+    stat = statistic if isinstance(statistic, Statistic) else parse_statistic(statistic)
+    # integer first, so that n < 2 keeps the message naming the jackknife's floor
+    n = checked_count(n, "subsample size n", minimum=-math.inf)
+    if n < 2:
+        raise ValueError("jackknife estimation needs subsample size n >= 2")
+    K = checked_count(K, "subsample count K")
+    master_seed = checked_master_seed(master_seed)
+    alpha = checked_alpha(alpha)
+    if isinstance(dataset, (str, Path)):
+        dataset = read_header(dataset)
+    stat.validate_columns(dataset.col_count)
+    return stat, n, K, master_seed, alpha
 
 
 def run_estimate(
@@ -33,17 +64,12 @@ def run_estimate(
 ) -> EstimateReport:
     """Estimate a statistic from K subsamples of size n drawn with replacement.
 
-    ``workers`` is accepted for compatibility and selects nothing: every run is
+    Every argument is checked by check_run before the first draw. ``workers``
+    is accepted for compatibility and selects nothing: every run is
     single-threaded, and the report never depends on it.
     """
     handle = data if isinstance(data, DatasetHandle) else open_dataset(data)
-    stat = parse_statistic(statistic) if isinstance(statistic, str) else statistic
-    stat.validate_columns(handle.col_count)
-    if n < 2:
-        raise ValueError("jackknife estimation needs subsample size n >= 2")
-    if K < 1:
-        raise ValueError("subsample count K must be >= 1")
-    master_seed = checked_master_seed(master_seed)
+    stat, n, K, master_seed, alpha = check_run(handle, statistic, n, K, master_seed, alpha)
 
     chunk = max(1, CHUNK_BYTES // (8 * n * max(stat.q, handle.col_count)))
     results = []

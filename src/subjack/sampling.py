@@ -63,12 +63,38 @@ def _index_mask(n_rows: int) -> np.uint64:
     return np.uint64((1 << (n_rows - 1).bit_length()) - 1 if n_rows > 1 else 0)
 
 
+def _as_int(value) -> int | None:
+    """value as an int if it is an integer-valued number, else None (bools too)."""
+    if isinstance(value, bool):
+        return None
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return number if number == value else None
+
+
+def checked_count(value, what: str, minimum: int = 1) -> int:
+    """value as an int, if it is an integer-valued number >= minimum.
+
+    what names the value in the error, e.g. "subsample count K".
+    """
+    count = _as_int(value)
+    if count is None:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if count < minimum:
+        raise ValueError(f"{what} must be >= {minimum}")
+    return count
+
+
 def checked_seed(seed: int) -> int:
-    """seed as an int, if it is a valid Philox key."""
-    seed = int(seed)
-    if not 0 <= seed < 2**128:
-        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
-    return seed
+    """seed as an int, if it is an integer that is a valid Philox key."""
+    key = _as_int(seed)
+    if key is None:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= key < 2**128:
+        raise ValueError(f"seed must be in [0, 2**128), got {key}")
+    return key
 
 
 def checked_master_seed(master_seed: int) -> int:
@@ -77,11 +103,8 @@ def checked_master_seed(master_seed: int) -> int:
     subsample_seed reduces the master seed mod 2^64, so 2**64 + 5 would run
     seed 5 while the report recorded 2**64 + 5; such seeds are rejected.
     """
-    try:
-        seed = int(master_seed)
-    except (TypeError, ValueError, OverflowError):
-        seed = None
-    if seed is None or seed != master_seed or not 0 <= seed < 2**64:
+    seed = _as_int(master_seed)
+    if seed is None or not 0 <= seed < 2**64:
         raise ValueError(f"master seed must be an integer in [0, 2**64), got {master_seed!r}")
     return seed
 
@@ -123,10 +146,8 @@ def draw_chunk(seeds, n_rows: int, n: int) -> np.ndarray:
     which is masked, bounded and ranked by one numpy call each; a row with
     fewer than n accepted words continues from its own stream until it has n.
     """
-    if n_rows < 1:
-        raise ValueError("n_rows must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n_rows = checked_count(n_rows, "n_rows")
+    n = checked_count(n, "n")
     width = max(2 * n, 16)
     raw = np.empty((len(seeds), width), dtype=np.uint64)
     for row, seed in zip(raw, seeds):
@@ -194,10 +215,8 @@ def draw_without_replacement(
     Exists for cost-model benchmarking; use draw_with_replacement for
     estimation.
     """
-    if n_rows < 1:
-        raise ValueError("n_rows must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n_rows = checked_count(n_rows, "n_rows")
+    n = checked_count(n, "n")
     if len(already_drawn) + n > n_rows:
         raise ValueError(
             f"insufficient room: {len(already_drawn)} drawn + {n} requested > {n_rows}"

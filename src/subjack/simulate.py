@@ -8,25 +8,20 @@ outcome depends on (master_seed, m) alone, never on execution order.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from .estimator import confidence_interval
-from .pipeline import run_estimate
-from .sampling import (
-    REPLICATION_SEED_OFFSET,
-    checked_master_seed,
-    checked_seed,
-    subsample_seed,
-)
-from .stats import parse_statistic
+from .pipeline import check_run, run_estimate
+from .sampling import REPLICATION_SEED_OFFSET, checked_count, checked_seed, subsample_seed
 from .store import DatasetHeader, write_blocks
 
 _GEN_CHUNK = 1 << 18
@@ -38,21 +33,31 @@ METRICS_CSV_COLUMNS = [
 ]
 
 
+def checked_sigma(sigma) -> np.ndarray:
+    """sigma as a float64 array, if it is a symmetric positive definite 2x2 matrix."""
+    try:
+        matrix = np.asarray(sigma, dtype=np.float64)
+    except (TypeError, ValueError):
+        matrix = None
+    if matrix is None or matrix.shape != (2, 2):
+        raise ValueError("sigma must be a 2x2 covariance matrix")
+    if not np.isfinite(matrix).all():
+        raise ValueError("sigma must be finite")
+    if not np.allclose(matrix, matrix.T, rtol=0, atol=0):
+        raise ValueError("sigma must be symmetric")
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        raise ValueError("sigma must be positive definite") from None
+    return matrix
+
+
 def generate_bivariate_normal(
     seed: int, n_rows: int, sigma, out_path: str | Path
 ) -> DatasetHeader:
     """Write n_rows iid mean-zero bivariate normal rows with covariance sigma."""
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if sigma.shape != (2, 2):
-        raise ValueError("sigma must be a 2x2 covariance matrix")
-    if not np.allclose(sigma, sigma.T, rtol=0, atol=0):
-        raise ValueError("sigma must be symmetric")
-    try:
-        chol = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        raise ValueError("sigma must be positive definite") from None
-    if n_rows < 1:
-        raise ValueError("n_rows must be >= 1")
+    chol = np.linalg.cholesky(checked_sigma(sigma))
+    n_rows = checked_count(n_rows, "n_rows")
 
     rng = np.random.Generator(np.random.Philox(key=checked_seed(seed)))
 
@@ -83,7 +88,14 @@ def temp_dataset(seed: int, n_rows: int, sigma):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One Monte Carlo experiment: dataset x statistic x (n, K) x M."""
+    """One Monte Carlo experiment: dataset x statistic x (n, K) x M.
+
+    Built only from valid fields: M, theta_true and the dataset are checked
+    here, and the statistic, n, K, alpha and master seed by pipeline.check_run,
+    the check run_estimate makes. A generator spec is checked whole (its
+    sigma too) and counts as a 2-column dataset; a path has its header read,
+    after every other field has passed. Counts and seeds are stored as ints.
+    """
 
     dataset: str | dict
     statistic: str
@@ -95,32 +107,41 @@ class ExperimentConfig:
     theta_true: float | None = None
 
     def __post_init__(self):
-        if self.M < 1:
-            raise ValueError("replication count M must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.n < 2:
-            raise ValueError("jackknife estimation needs subsample size n >= 2")
-        if self.K < 1:
-            raise ValueError("subsample count K must be >= 1")
-        checked_master_seed(self.master_seed)
-        stat = parse_statistic(self.statistic)
+        M = checked_count(self.M, "replication count M")
+        if self.theta_true is not None and not isinstance(self.theta_true, numbers.Real):
+            raise ValueError(f"theta_true must be a number or null, got {self.theta_true!r}")
         if isinstance(self.dataset, dict):
-            _parse_generator_spec(self.dataset)
-            stat.validate_columns(2)
+            dataset = DatasetHeader(row_count=_parse_generator_spec(self.dataset)[1], col_count=2)
+        elif isinstance(self.dataset, (str, Path)):
+            dataset = self.dataset
+        else:
+            raise ValueError(
+                f"dataset must be a path or a generator spec object, got {self.dataset!r}"
+            )
+        _, n, K, master_seed, alpha = check_run(
+            dataset, self.statistic, self.n, self.K, self.master_seed, self.alpha
+        )
+        for name, value in [("n", n), ("K", K), ("M", M), ("master_seed", master_seed),
+                            ("alpha", alpha)]:
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {f: raw[f] for f in cls.__dataclass_fields__ if f in raw}
-        unknown = set(raw) - set(known)
+        if not isinstance(raw, dict):
+            raise ValueError(f"config entry must be a JSON object, got {raw!r}")
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**known)
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in raw]
+        if missing:
+            raise ValueError(f"config is missing fields: {missing}")
+        return cls(**raw)
 
     def dataset_label(self) -> str:
-        if isinstance(self.dataset, str):
-            return self.dataset
-        return "generated:rows={rows},seed={seed}".format(**self.dataset)
+        if not isinstance(self.dataset, dict):
+            return str(self.dataset)
+        seed, rows, _ = _parse_generator_spec(self.dataset)
+        return f"generated:rows={rows},seed={seed}"
 
 
 @dataclass(frozen=True)
@@ -194,38 +215,26 @@ def _replication_worker(args) -> tuple[int, float, float, float]:
 
 
 def _parse_generator_spec(spec: dict) -> tuple[int, int, np.ndarray]:
-    """(seed, rows, sigma) of a generator spec; sigma defaults to the identity."""
+    """(seed, rows, sigma) of a generator spec, checked as generation checks them.
+
+    sigma defaults to the identity.
+    """
     spec = dict(spec)
     try:
-        rows = _integer_field(spec, "rows")
-        seed = checked_seed(_integer_field(spec, "seed"))
+        rows, seed = spec.pop("rows"), spec.pop("seed")
     except KeyError as exc:
         raise ValueError(f"generator spec missing field {exc}") from None
-    sigma = np.asarray(spec.pop("sigma", np.eye(2)), dtype=np.float64)
+    sigma = spec.pop("sigma", np.eye(2))
     if spec:
         raise ValueError(f"unknown generator spec fields: {sorted(spec)}")
-    if rows < 1:
-        raise ValueError("generator spec rows must be >= 1")
-    if sigma.shape != (2, 2):
-        raise ValueError("generator spec sigma must be a 2x2 matrix")
-    return seed, rows, sigma
-
-
-def _integer_field(spec: dict, name: str) -> int:
-    value = spec.pop(name)
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or number != value:
-        raise ValueError(f"generator spec {name} must be an integer, got {value!r}")
-    return number
+    rows = checked_count(rows, "generator spec rows")
+    return checked_seed(seed), rows, checked_sigma(sigma)
 
 
 @contextmanager
 def _dataset_path(dataset: str | dict):
     """Yield a dataset path; a generator spec is written to a temp file."""
-    if isinstance(dataset, str):
+    if not isinstance(dataset, dict):
         yield dataset
         return
     with temp_dataset(*_parse_generator_spec(dataset)) as path:

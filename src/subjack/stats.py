@@ -147,6 +147,8 @@ _SPEC_RE = re.compile(r"^([a-z]+)(?::(\d+(?:,\d+)*))?$")
 
 def parse_statistic(spec: str) -> Statistic:
     """Parse 'name[:col[,col]]' (e.g. mean:0, corr:0,1) into a Statistic."""
+    if not isinstance(spec, str):
+        raise ValueError(f"statistic spec must be a string, got {spec!r}")
     m = _SPEC_RE.match(spec.strip())
     if not m:
         raise ValueError(f"malformed statistic spec {spec!r}")

@@ -71,24 +71,15 @@ class RecordBatch:
 
 
 class DatasetHandle:
-    """Read-only view of an open dataset.
+    """Read-only view of an open dataset's rows.
 
     Immutable after open; reads never touch file state, so one handle can be
     shared across threads.
     """
 
-    def __init__(self, path: str | Path, header: DatasetHeader, rows: np.ndarray):
-        self.path = str(path)
-        self.header = header
+    def __init__(self, rows: np.ndarray):
         self._rows = rows
-
-    @property
-    def row_count(self) -> int:
-        return self.header.row_count
-
-    @property
-    def col_count(self) -> int:
-        return self.header.col_count
+        self.row_count, self.col_count = rows.shape
 
     def read_records(self, indices) -> RecordBatch:
         """Fetch the given rows, duplicates allowed, in the order requested.
@@ -107,8 +98,8 @@ class DatasetHandle:
         return RecordBatch(rows=rows, source_indices=idx)
 
 
-def open_dataset(path: str | Path) -> DatasetHandle:
-    """Validate header and file length, then map the rows for random access."""
+def read_header(path: str | Path) -> DatasetHeader:
+    """Read and validate a dataset's header, and check the file's length."""
     path = Path(path)
     try:
         size = path.stat().st_size
@@ -130,8 +121,15 @@ def open_dataset(path: str | Path) -> DatasetHandle:
     expected = HEADER_SIZE + n_rows * n_cols * _ROW_DTYPE.itemsize
     if size != expected:
         raise StoreError(f"{path}: length mismatch (expected {expected} bytes, found {size})")
-    rows = np.memmap(path, dtype=_ROW_DTYPE, mode="r", offset=HEADER_SIZE, shape=(n_rows, n_cols))
-    return DatasetHandle(path, DatasetHeader(row_count=n_rows, col_count=n_cols), rows)
+    return DatasetHeader(row_count=n_rows, col_count=n_cols)
+
+
+def open_dataset(path: str | Path) -> DatasetHandle:
+    """Validate header and file length, then map the rows for random access."""
+    header = read_header(path)
+    shape = (header.row_count, header.col_count)
+    rows = np.memmap(path, dtype=_ROW_DTYPE, mode="r", offset=HEADER_SIZE, shape=shape)
+    return DatasetHandle(rows)
 
 
 def write_blocks(path: str | Path, col_count: int, blocks) -> DatasetHeader:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tempfile
 
 import pytest
 
@@ -261,3 +262,84 @@ def test_bench_cli_smoke(capsys):
     assert modes == {"with_replacement", "without_replacement"}
     for row in rows:
         assert float(row["seconds"]) >= 0
+
+
+def test_estimate_bad_alpha_fails_before_any_draw(capsys, monkeypatch, cli_dataset):
+    from subjack import pipeline
+
+    draws = []
+    real_draw_chunk = pipeline.draw_chunk
+    monkeypatch.setattr(pipeline, "draw_chunk",
+                        lambda *args: draws.append(args) or real_draw_chunk(*args))
+    code, out, err = _run(capsys, ["estimate", "--data", cli_dataset, "--stat", "mean:0",
+                                   "--n", "50", "--k", "5000", "--seed", "1",
+                                   "--alpha", "2"])
+    assert code == 2
+    assert out == ""
+    assert err == "subjack: error: alpha must lie in (0, 1), got 2.0\n"
+    assert draws == []
+
+
+_GOOD_CONFIG = {"dataset": {"rows": 2000, "seed": 1}, "statistic": "mean:0", "n": 20,
+                "K": 5, "M": 2, "master_seed": 1}
+
+
+@pytest.mark.parametrize("bad,message", [
+    pytest.param({**_GOOD_CONFIG, "n": 20.5},
+                 "subsample size n must be an integer, got 20.5", id="n-fraction"),
+    pytest.param({**_GOOD_CONFIG, "M": 2.5},
+                 "replication count M must be an integer, got 2.5", id="M-fraction"),
+    pytest.param({**_GOOD_CONFIG, "dataset": {"rows": 2000, "seed": 1,
+                                              "sigma": [[1, 2], [2, 1]]}},
+                 "sigma must be positive definite", id="sigma-not-positive-definite"),
+    pytest.param({**_GOOD_CONFIG, "dataset": "missing.sjds", "statistic": "corr:0,4"},
+                 "cannot open dataset: [Errno 2] No such file or directory: 'missing.sjds'",
+                 id="missing-path"),
+    pytest.param({**_GOOD_CONFIG, "dataset": "two-columns.sjds", "statistic": "corr:0,4"},
+                 "statistic 'corr:0,4' needs column 4, dataset has 2", id="too-few-columns"),
+    pytest.param({**_GOOD_CONFIG, "alpha": "0.1"},
+                 "alpha must be a number, got '0.1'", id="alpha-string"),
+    pytest.param({**_GOOD_CONFIG, "theta_true": "x"},
+                 "theta_true must be a number or null, got 'x'", id="theta-true-string"),
+    pytest.param({**_GOOD_CONFIG, "statistic": 5},
+                 "statistic spec must be a string, got 5", id="statistic-int"),
+    pytest.param({**_GOOD_CONFIG, "dataset": 5},
+                 "dataset must be a path or a generator spec object, got 5", id="dataset-int"),
+    pytest.param(5, "config entry must be a JSON object, got 5", id="entry-not-object"),
+    pytest.param({k: v for k, v in _GOOD_CONFIG.items() if k != "K"},
+                 "config is missing fields: ['K']", id="missing-field"),
+])
+def test_simulate_bad_second_config_fails_before_any_work(capsys, monkeypatch, tmp_path,
+                                                          bad, message):
+    from subjack import simulate
+
+    monkeypatch.chdir(tmp_path)
+    generate_bivariate_normal(1, 100, PAPER_SIGMA, "two-columns.sjds")
+    temp_dir = tmp_path / "temp"
+    temp_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp_dir))
+    generated = []
+    monkeypatch.setattr(simulate, "generate_bivariate_normal",
+                        lambda *args: generated.append(args))
+    (tmp_path / "cfgs.json").write_text(json.dumps([_GOOD_CONFIG, bad]))
+    code, out, err = _run(capsys, ["simulate", "--config", "cfgs.json", "--out", "detail.json",
+                                   "--workers", "1"])
+    assert code == 2
+    assert out == ""
+    assert err == f"subjack: error: {message}\n"
+    assert generated == []
+    assert list(temp_dir.iterdir()) == []
+    assert not (tmp_path / "detail.json").exists()
+
+
+def test_simulate_integer_valued_float_counts_run_as_ints(capsys, tmp_path):
+    outputs = []
+    for counts in ({"n": 20, "K": 5, "M": 2}, {"n": 20.0, "K": 5.0, "M": 2.0}):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**_GOOD_CONFIG, **counts}))
+        code, out, _ = _run(capsys, ["simulate", "--config", str(cfg_path), "--workers", "1"])
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    row = next(csv.DictReader(io.StringIO(outputs[1])))
+    assert (row["n"], row["K"], row["M"]) == ("20", "5", "2")

@@ -73,6 +73,48 @@ def test_master_seed_that_would_alias_is_rejected(sigma_dataset, master):
     assert str(exc.value) == f"master seed must be an integer in [0, 2**64), got {master!r}"
 
 
+def test_integer_valued_counts_run_as_ints(sigma_dataset):
+    assert run_estimate(sigma_dataset, "mean:0", 10.0, 5.0, 3.0) == run_estimate(
+        sigma_dataset, "mean:0", 10, 5, 3
+    )
+
+
+@pytest.mark.parametrize("n,K,message", [
+    (2.5, 5, "subsample size n must be an integer, got 2.5"),
+    ("10", 5, "subsample size n must be an integer, got '10'"),
+    (-3, 5, "jackknife estimation needs subsample size n >= 2"),
+    (10, 5.5, "subsample count K must be an integer, got 5.5"),
+])
+def test_non_integer_counts_are_rejected(sigma_dataset, n, K, message):
+    with pytest.raises(ValueError) as exc:
+        run_estimate(sigma_dataset, "mean:0", n, K, 1)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("alpha,message", [
+    (0.0, "alpha must lie in (0, 1), got 0.0"),
+    (float("nan"), "alpha must lie in (0, 1), got nan"),
+    ("0.1", "alpha must be a number, got '0.1'"),
+])
+def test_bad_alpha_fails_before_any_draw(sigma_dataset, monkeypatch, alpha, message):
+    from subjack import pipeline
+
+    monkeypatch.setattr(pipeline, "draw_chunk", lambda *args: pytest.fail("drew"))
+    with pytest.raises(ValueError) as exc:
+        run_estimate(sigma_dataset, "mean:0", 10, 5, 1, alpha=alpha)
+    assert str(exc.value) == message
+
+
+def test_check_run_reads_a_path_header_only_after_other_arguments(tmp_path):
+    from subjack.pipeline import check_run
+    from subjack.store import StoreError
+
+    with pytest.raises(ValueError, match="subsample count K must be >= 1"):
+        check_run(tmp_path / "absent.sjds", "mean:0", 10, 0, 1, 0.05)
+    with pytest.raises(StoreError, match="cannot open dataset"):
+        check_run(tmp_path / "absent.sjds", "mean:0", 10, 5, 1, 0.05)
+
+
 def test_largest_master_seed_is_recorded(sigma_dataset):
     assert run_estimate(sigma_dataset, "mean:0", 10, 5, 2**64 - 1).master_seed == 2**64 - 1
 

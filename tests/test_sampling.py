@@ -4,7 +4,9 @@ from scipy import stats as sps
 
 from subjack.sampling import (
     ExclusionSet,
+    checked_count,
     checked_master_seed,
+    checked_seed,
     draw_chunk,
     draw_with_replacement,
     draw_without_replacement,
@@ -246,3 +248,31 @@ def test_master_seed_that_would_alias_is_rejected(master):
 def test_draw_rejects_seed_outside_key_range(seed):
     with pytest.raises(ValueError, match="seed must be in"):
         draw_with_replacement(seed, 10, 3)
+
+
+@pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float64(3.0)])
+def test_checked_count_accepts_integer_values_and_returns_int(value):
+    count = checked_count(value, "count")
+    assert count == 3 and type(count) is int
+
+
+@pytest.mark.parametrize("value", [2.5, "3", None, True, float("inf"), float("nan"), [3]])
+def test_checked_count_rejects_non_integers(value):
+    with pytest.raises(ValueError) as exc:
+        checked_count(value, "replication count M")
+    assert str(exc.value) == f"replication count M must be an integer, got {value!r}"
+
+
+def test_checked_count_minimum():
+    assert checked_count(0, "n_rows", minimum=0) == 0
+    with pytest.raises(ValueError) as exc:
+        checked_count(0, "n_rows")
+    assert str(exc.value) == "n_rows must be >= 1"
+
+
+@pytest.mark.parametrize("seed", [0.5, "7", None])
+def test_checked_seed_rejects_non_integers(seed):
+    # int() would have truncated 0.5 to key 0
+    with pytest.raises(ValueError) as exc:
+        checked_seed(seed)
+    assert str(exc.value) == f"seed must be an integer, got {seed!r}"

@@ -6,6 +6,7 @@ import tempfile
 import numpy as np
 import pytest
 
+from subjack import simulate
 from subjack.simulate import (
     ExperimentConfig,
     generate_bivariate_normal,
@@ -56,6 +57,9 @@ def test_generate_rejects_bad_sigma(tmp_path):
         generate_bivariate_normal(1, 10, [[1.0, 0.5], [0.2, 1.0]], tmp_path / "y.sjds")
     with pytest.raises(ValueError, match="2x2"):
         generate_bivariate_normal(1, 10, np.eye(3), tmp_path / "z.sjds")
+    with pytest.raises(ValueError, match="finite"):
+        generate_bivariate_normal(1, 10, [[math.inf, 0.0], [0.0, 1.0]], tmp_path / "w.sjds")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128])
@@ -130,9 +134,19 @@ def test_generator_spec_dataset():
 
 def test_failed_generation_leaves_no_temp_file(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    cfg = ExperimentConfig(dataset={"rows": 100, "sigma": [[1, 2], [2, 1]], "seed": 1},
+    real_write_blocks = simulate.write_blocks
+
+    def write_then_fail(path, col_count, blocks):
+        def first_block_then_error():
+            yield next(iter(blocks))
+            raise OSError("disk full")
+
+        return real_write_blocks(path, col_count, first_block_then_error())
+
+    monkeypatch.setattr(simulate, "write_blocks", write_then_fail)
+    cfg = ExperimentConfig(dataset={"rows": 100, "seed": 1},
                            statistic="corr:0,1", n=5, K=5, M=1)
-    with pytest.raises(ValueError, match="positive definite"):
+    with pytest.raises(OSError, match="disk full"):
         run_replications(cfg)
     assert list(tmp_path.iterdir()) == []
 
@@ -174,6 +188,7 @@ def test_config_validation():
         ({"rows": 0, "seed": 1}, "rows must be >= 1"),
         ({"rows": 100, "seed": 1, "sigma": [1.0, 0.0, 0.0, 1.0]}, "2x2"),
         ({"rows": 100, "seed": 1, "sigma": np.eye(3).tolist()}, "2x2"),
+        ({"rows": 100, "seed": 1, "sigma": [[1, 2], [2, 1]]}, "positive definite"),
         ({"rows": 2.7, "seed": 1}, "rows must be an integer, got 2.7"),
         ({"rows": "100", "seed": 1}, "rows must be an integer"),
         ({"rows": float("inf"), "seed": 1}, "rows must be an integer"),
@@ -183,6 +198,14 @@ def test_config_validation():
     ]:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(dataset=spec, statistic="mean:0", n=5, K=5, M=1)
+
+
+def test_config_stores_integer_valued_fields_as_ints():
+    cfg = ExperimentConfig(dataset={"rows": 2000.0, "seed": 4.0}, statistic="mean:0",
+                           n=20.0, K=5.0, M=2.0, master_seed=3.0)
+    assert (cfg.n, cfg.K, cfg.M, cfg.master_seed) == (20, 5, 2, 3)
+    assert all(type(v) is int for v in (cfg.n, cfg.K, cfg.M, cfg.master_seed))
+    assert cfg.dataset_label() == "generated:rows=2000,seed=4"
 
 
 @pytest.mark.parametrize("master", [-1, 2**64, 1.5])

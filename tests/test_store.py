@@ -10,9 +10,11 @@ from hypothesis.extra.numpy import arrays
 
 from subjack.store import (
     HEADER_SIZE,
+    DatasetHeader,
     StoreError,
     convert_csv,
     open_dataset,
+    read_header,
     signed_log,
     write_blocks,
     write_matrix,
@@ -144,6 +146,10 @@ def _valid_file(tmp_path):
 def test_open_valid_header(tmp_path):
     handle = open_dataset(_valid_file(tmp_path))
     assert (handle.row_count, handle.col_count) == (100, 2)
+
+
+def test_read_header_without_mapping(tmp_path):
+    assert read_header(_valid_file(tmp_path)) == DatasetHeader(row_count=100, col_count=2)
 
 
 def test_bad_magic_rejected(tmp_path):
