@@ -17,7 +17,6 @@ from .estimator import (
     confidence_interval,
     jackknife_chunk,
     jackknife_subsample,
-    jackknife_subsample_naive,
     normal_quantile,
 )
 from .pipeline import run_estimate

@@ -14,7 +14,9 @@ Across K subsamples the point estimates are plain averages and
     se^2 = (1/K + n/N) * mean_k ss_k.
 
 jackknife_chunk computes these for a chunk of subsamples, (Kc, n, q), in one
-pass of numpy calls; its results are exactly the per-subsample ones. Final
+pass of numpy calls, with no per-subsample loop: theta_hat is one call of the
+statistic's g_mean over the chunk's in-domain means, and its results are
+exactly the per-subsample ones, byte for byte. Final
 reductions always run in ascending k (exactly-rounded summation), so a report
 is bit-identical no matter how the subsamples were chunked.
 """
@@ -71,21 +73,6 @@ class EstimateReport:
         return cls(**json.loads(text))
 
 
-def _eval_at(stat: Statistic, point: np.ndarray, *, k: int, where: str) -> float:
-    if not bool(stat.in_domain(point)):
-        raise DomainEvalError(
-            f"statistic {stat.name!r} undefined at {where} of subsample k={k}: "
-            f"moments={point.tolist()}"
-        )
-    value = float(stat.g(point))
-    if not math.isfinite(value):
-        raise DomainEvalError(
-            f"statistic {stat.name!r} non-finite at {where} of subsample k={k}: "
-            f"moments={point.tolist()}"
-        )
-    return value
-
-
 def _check_features(stat: Statistic, arr: np.ndarray, ndim: int = 2) -> int:
     if arr.ndim != ndim or arr.shape[-1] != stat.q:
         axes = "n" if ndim == 2 else "Kc, n"
@@ -114,42 +101,44 @@ def jackknife_chunk(stat: Statistic, features, ks) -> list[SubsampleResult]:
 
     # sum / n is the arithmetic of mean(), without its Python-level overhead
     mu = arr.sum(axis=1) / n
+    mean_ok = stat.in_domain(mu)
+    # theta_hat = g at every in-domain mean in one call; g_mean keeps the
+    # rounding of g on a single 1-d point (see Statistic.g_mean)
+    theta_hat = np.full(len(ks), np.nan)
+    theta_hat[mean_ok] = stat.g_mean(mu[mean_ok])
     loo = n * mu[:, None] - arr
     loo /= n - 1
     ok = stat.in_domain(loo)
-    loo_ok = ok.all(axis=1)
-    # theta_hat stays a per-subsample g on the 1-d mean point: scalar arithmetic
-    # (e.g. kurt's v**2) rounds differently from the same formula over an array
-    theta_hat = np.empty(len(ks))
-    good, failure = len(ks), None
-    for i, k in enumerate(ks):
-        try:
-            theta_hat[i] = _eval_at(stat, mu[i], k=k, where="the subsample mean")
-            if not loo_ok[i]:
-                j = int(np.flatnonzero(~ok[i])[0])
-                raise DomainEvalError(
-                    f"statistic {stat.name!r} undefined at leave-one-out point j={j} "
-                    f"of subsample k={k}: moments={loo[i, j].tolist()}"
-                )
-        except DomainEvalError as exc:
-            good, failure = i, exc
-            break
+    hat_ok = np.isfinite(theta_hat)
+    failing = ~(mean_ok & hat_ok & ok.all(axis=1))
+    good = int(failing.argmax()) if failing.any() else len(ks)
 
     theta_hat = theta_hat[:good]
     theta_loo = np.asarray(stat.g(loo[:good]), dtype=np.float64)
     theta_jds = n * theta_hat - (n - 1) * (theta_loo.sum(axis=1) / n)
     ss = ((theta_loo - theta_hat[:, None]) ** 2).sum(axis=1)
-    results = []
-    for k, hat, jds, s in zip(ks, theta_hat.tolist(), theta_jds.tolist(), ss.tolist()):
-        if not (math.isfinite(jds) and math.isfinite(s)):
-            raise DomainEvalError(
-                f"statistic {stat.name!r} produced non-finite jackknife values "
-                f"in subsample k={k}"
-            )
-        results.append(SubsampleResult(k=k, theta_hat=hat, theta_jds=jds, ss=s, n=n))
-    if failure is not None:
-        raise failure
-    return results
+    # in ks order, a non-finite result before subsample `good` is the first failure
+    nonfinite = ~(np.isfinite(theta_jds) & np.isfinite(ss))
+    if nonfinite.any():
+        raise DomainEvalError(
+            f"statistic {stat.name!r} produced non-finite jackknife values "
+            f"in subsample k={ks[int(nonfinite.argmax())]}"
+        )
+    if good < len(ks):
+        point = f"the subsample mean of subsample k={ks[good]}: moments={mu[good].tolist()}"
+        if not mean_ok[good]:
+            raise DomainEvalError(f"statistic {stat.name!r} undefined at {point}")
+        if not hat_ok[good]:
+            raise DomainEvalError(f"statistic {stat.name!r} non-finite at {point}")
+        j = int(np.flatnonzero(~ok[good])[0])
+        raise DomainEvalError(
+            f"statistic {stat.name!r} undefined at leave-one-out point j={j} "
+            f"of subsample k={ks[good]}: moments={loo[good, j].tolist()}"
+        )
+    return [
+        SubsampleResult(k=k, theta_hat=hat, theta_jds=jds, ss=s, n=n)
+        for k, hat, jds, s in zip(ks, theta_hat.tolist(), theta_jds.tolist(), ss.tolist())
+    ]
 
 
 def jackknife_subsample(stat: Statistic, features, k: int = 0) -> SubsampleResult:
@@ -157,27 +146,6 @@ def jackknife_subsample(stat: Statistic, features, k: int = 0) -> SubsampleResul
     arr = np.asarray(features, dtype=np.float64)
     _check_features(stat, arr)
     return jackknife_chunk(stat, arr[None], [k])[0]
-
-
-def jackknife_subsample_naive(stat: Statistic, features, k: int = 0) -> SubsampleResult:
-    """Same contract as jackknife_subsample, recomputing every leave-one-out
-    mean by direct summation (O(n^2) total). Kept as an independent check on
-    the downdate path."""
-    arr = np.asarray(features, dtype=np.float64)
-    n = _check_features(stat, arr)
-
-    theta_hat = _eval_at(stat, arr.mean(axis=0), k=k, where="the subsample mean")
-    keep = np.ones(n, dtype=bool)
-    theta_loo = np.empty(n, dtype=np.float64)
-    for j in range(n):
-        keep[j] = False
-        mu_j = arr[keep].mean(axis=0)
-        keep[j] = True
-        theta_loo[j] = _eval_at(stat, mu_j, k=k, where=f"leave-one-out point j={j}")
-    bias = (n - 1) * theta_loo.mean() - (n - 1) * theta_hat
-    theta_jds = theta_hat - bias
-    ss = float(((theta_loo - theta_hat) ** 2).sum())
-    return SubsampleResult(k=k, theta_hat=theta_hat, theta_jds=float(theta_jds), ss=ss, n=n)
 
 
 def aggregate(
@@ -196,8 +164,7 @@ def aggregate(
     """
     if not results:
         raise ValueError("no subsample results to aggregate")
-    if ci_center not in ("jds", "sos"):
-        raise ValueError(f"ci_center must be 'jds' or 'sos', got {ci_center!r}")
+    checked_ci_center(ci_center)
     ordered = sorted(results, key=lambda r: r.k)
     n = ordered[0].n
     if any(r.n != n for r in ordered):
@@ -275,6 +242,13 @@ def checked_alpha(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     return float(alpha)
+
+
+def checked_ci_center(ci_center: str) -> str:
+    """ci_center, if it names a point estimate the interval can center on."""
+    if ci_center not in ("jds", "sos"):
+        raise ValueError(f"ci_center must be 'jds' or 'sos', got {ci_center!r}")
+    return ci_center
 
 
 def confidence_interval(theta: float, se: float, alpha: float) -> tuple[float, float]:

@@ -13,7 +13,13 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .estimator import EstimateReport, aggregate, checked_alpha, jackknife_chunk
+from .estimator import (
+    EstimateReport,
+    aggregate,
+    checked_alpha,
+    checked_ci_center,
+    jackknife_chunk,
+)
 from .sampling import RNG_ID, checked_count, checked_master_seed, draw_chunk, subsample_seed
 from .stats import Statistic, parse_statistic
 from .store import DatasetHandle, DatasetHeader, open_dataset, read_header
@@ -64,12 +70,14 @@ def run_estimate(
 ) -> EstimateReport:
     """Estimate a statistic from K subsamples of size n drawn with replacement.
 
-    Every argument is checked by check_run before the first draw. ``workers``
-    is accepted for compatibility and selects nothing: every run is
-    single-threaded, and the report never depends on it.
+    Every argument is checked before the first draw: by check_run, and
+    ci_center by the check aggregate applies. ``workers`` is accepted for
+    compatibility and selects nothing: every run is single-threaded, and the
+    report never depends on it.
     """
     handle = data if isinstance(data, DatasetHandle) else open_dataset(data)
     stat, n, K, master_seed, alpha = check_run(handle, statistic, n, K, master_seed, alpha)
+    checked_ci_center(ci_center)
 
     chunk = max(1, CHUNK_BYTES // (8 * n * max(stat.q, handle.col_count)))
     results = []

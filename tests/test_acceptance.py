@@ -11,9 +11,10 @@ import time
 
 import numpy as np
 import pytest
+from jackknife_oracle import jackknife_subsample_naive
 
 from subjack.bench import bench_sampling
-from subjack.estimator import aggregate, jackknife_subsample, jackknife_subsample_naive
+from subjack.estimator import aggregate, jackknife_subsample
 from subjack.sampling import draw_with_replacement, subsample_seed
 from subjack.simulate import ExperimentConfig, generate_bivariate_normal, run_replications
 from subjack.stats import (

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from jackknife_oracle import jackknife_subsample_naive
 
 from subjack.estimator import (
     DomainEvalError,
@@ -13,7 +14,6 @@ from subjack.estimator import (
     confidence_interval,
     jackknife_chunk,
     jackknife_subsample,
-    jackknife_subsample_naive,
     normal_quantile,
 )
 from subjack.stats import (
@@ -178,6 +178,91 @@ def test_chunk_kernel_equals_per_subsample_and_naive(which, kc, extra_n, seed):
         for a, b in [(got.theta_hat, slow.theta_hat), (got.theta_jds, slow.theta_jds),
                      (got.ss, slow.ss)]:
             assert abs(a - b) <= 1e-10 * max(abs(a), abs(b), 1e-30)
+
+
+# the one-column statistics on either column, plus corr, as the byte census runs them
+_MEAN_POINT_STATS = [
+    stat(col) for stat in (stat_mean, stat_variance, stat_sd, stat_kurtosis) for col in (0, 1)
+] + [stat_correlation(0, 1)]
+
+
+def _hex(values):
+    # float.hex tells apart every pair of distinct doubles, -0.0 and 0.0 included
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    which=st.integers(0, len(_MEAN_POINT_STATS) - 1),
+    kc=st.integers(1, 40),
+    n=st.integers(3, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chunk_theta_hat_is_g_at_each_mean_point_bit_for_bit(which, kc, n, seed):
+    # means near 3 and 100, so that moment terms such as kurt's m1**4 do not vanish
+    stat = _MEAN_POINT_STATS[which]
+    rng = np.random.default_rng(seed)
+    x = 3.0 + 2.0 * rng.standard_normal(kc * n)
+    y = 100.0 + 0.5 * x + rng.standard_normal(kc * n)
+    features = stat.phi(np.column_stack([x, y])).reshape(kc, n, stat.q)
+    mu = features.sum(axis=1) / n
+    chunk = jackknife_chunk(stat, features, range(1, kc + 1))
+    assert _hex(r.theta_hat for r in chunk) == _hex(stat.g(m) for m in mu)
+
+
+def test_kurt_mean_point_reducer_squares_with_pow():
+    # A variance v whose libm pow(v, 2) is not v * v. At the mean point
+    # (0, v, 0, v * v) kurt's g on the 1-d point gives v * v / pow(v, 2), which
+    # is not 1, while a reducer that squares with v * v gives exactly 1.
+    stat = stat_kurtosis(0)
+    candidates = np.random.default_rng(0).uniform(1.0, 2.0, 100_000).tolist()
+    v = next((c for c in candidates if c**2 != c * c), None)
+    assert v is not None, "no variance found where pow(v, 2) != v * v"
+    point = np.array([0.0, v, 0.0, v * v])
+    expected = float(stat.g(point))
+    assert expected != 1.0
+    # subsamples of two equal rows: each mean and leave-one-out mean is that row
+    points = [[0.0, w, 0.0, 1.0] for w in (1.25, 1.5, 1.75)] + [point]
+    features = np.array([[p, p] for p in points])
+    chunk = jackknife_chunk(stat, features, [1, 2, 3, 4])
+    assert chunk[3].theta_hat.hex() == expected.hex()
+    assert _hex(stat.g_mean(point[None])) == [expected.hex()]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_kurt_variance_square_that_overflows_is_a_domain_error():
+    # v is about 2e154, so v**2 overflows: to inf on a numpy scalar, where a
+    # Python float's ** would raise OverflowError instead
+    stat = stat_kurtosis(0)
+    features = stat.phi(np.array([[0.0], [3e77], [3e77]]))
+    with pytest.raises(DomainEvalError) as expected:
+        jackknife_subsample_naive(stat, features, k=2)
+    with pytest.raises(DomainEvalError) as exc:
+        jackknife_subsample(stat, features, k=2)
+    assert str(exc.value) == str(expected.value)
+    assert "non-finite at the subsample mean of subsample k=2" in str(exc.value)
+
+
+def test_chunk_never_evaluates_g_outside_its_domain():
+    def g(m):
+        if np.any(m[..., 0] <= 0):
+            raise AssertionError(f"g evaluated outside its domain at {m.tolist()}")
+        return np.log(m[..., 0])
+
+    stat = Statistic(
+        "guarded", 1, (0,),
+        phi=lambda rows: np.ascontiguousarray(rows[:, :1], dtype=np.float64),
+        g=g,
+        in_domain=lambda m: m[..., 0] > 0,
+    )
+    features = np.array([[1.0, 2.0, 3.0, 2.0], [-1.0, -2.0, -3.0, -2.0],
+                         [1.0, 1.0, 1.0, 1.0]])[:, :, None]
+    with pytest.raises(DomainEvalError) as exc:
+        jackknife_chunk(stat, features, [4, 5, 6])
+    assert str(exc.value) == (
+        "statistic 'guarded' undefined at the subsample mean of subsample k=5: "
+        "moments=[-2.0]"
+    )
 
 
 def _pole_stat():

@@ -105,6 +105,21 @@ def test_bad_alpha_fails_before_any_draw(sigma_dataset, monkeypatch, alpha, mess
     assert str(exc.value) == message
 
 
+def test_bad_ci_center_fails_before_any_draw(sigma_dataset, monkeypatch):
+    from subjack import pipeline
+
+    draws = []
+    real_draw_chunk = pipeline.draw_chunk
+    monkeypatch.setattr(pipeline, "draw_chunk",
+                        lambda *args: draws.append(args) or real_draw_chunk(*args))
+    with pytest.raises(ValueError) as exc:
+        run_estimate(sigma_dataset, "mean:0", 50, 2000, 1, ci_center="bogus")
+    assert str(exc.value) == "ci_center must be 'jds' or 'sos', got 'bogus'"
+    assert draws == []
+    run_estimate(sigma_dataset, "mean:0", 50, 2000, 1, ci_center="sos")
+    assert len(draws) == 2
+
+
 def test_check_run_reads_a_path_header_only_after_other_arguments(tmp_path):
     from subjack.pipeline import check_run
     from subjack.store import StoreError
