@@ -15,9 +15,11 @@ from .estimator import (
     SubsampleResult,
     aggregate,
     confidence_interval,
+    jackknife_arrays,
     jackknife_chunk,
     jackknife_subsample,
     normal_quantile,
+    summarize,
 )
 from .pipeline import run_estimate
 from .sampling import (
@@ -27,6 +29,7 @@ from .sampling import (
     draw_with_replacement,
     draw_without_replacement,
     subsample_seed,
+    subsample_seeds,
 )
 from .simulate import (
     ExperimentConfig,

@@ -28,6 +28,7 @@ from .sampling import (
     draw_chunk,
     draw_without_replacement,
     subsample_seed,
+    subsample_seeds,
 )
 from .simulate import temp_dataset
 from .store import open_dataset
@@ -54,8 +55,7 @@ class BenchResult:
 
 
 def _draw_with_replacement(n_rows: int, n: int, K: int, master_seed: int) -> np.ndarray:
-    seeds = [subsample_seed(master_seed, k) for k in range(1, K + 1)]
-    return draw_chunk(seeds, n_rows, n).ravel()
+    return draw_chunk(subsample_seeds(master_seed, range(1, K + 1)), n_rows, n).ravel()
 
 
 def _draw_without_replacement(n_rows: int, n: int, K: int, master_seed: int) -> np.ndarray:

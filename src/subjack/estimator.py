@@ -13,12 +13,21 @@ Across K subsamples the point estimates are plain averages and
 
     se^2 = (1/K + n/N) * mean_k ss_k.
 
-jackknife_chunk computes these for a chunk of subsamples, (Kc, n, q), in one
-pass of numpy calls, with no per-subsample loop: theta_hat is one call of the
-statistic's g_mean over the chunk's in-domain means, and its results are
-exactly the per-subsample ones, byte for byte. Final
-reductions always run in ascending k (exactly-rounded summation), so a report
-is bit-identical no matter how the subsamples were chunked.
+jackknife_arrays is the one kernel. It computes these for a chunk of
+subsamples, (Kc, n, q), in one pass of numpy calls, with no per-subsample
+loop, and returns theta_hat, theta_jds and ss as float64 arrays: theta_hat is
+one call of the statistic's g_mean over the chunk's in-domain means, and its
+results are exactly the per-subsample ones, byte for byte. The column means mu
+are sum / n, with the rows of each column added in order. For a C-ordered
+chunk with q > 1, einsum does that addition in long inner loops, where
+sum(axis=1) runs loops only q long; the two round the same. For q = 1 the
+rows are the contiguous axis, which sum adds pairwise, so sum is kept there,
+and for any other layout too.
+
+run_estimate keeps each chunk's arrays and hands them to summarize, the
+exactly-rounded (fsum) tail that also ends aggregate, so a report is
+bit-identical no matter how the subsamples were chunked. jackknife_chunk and
+aggregate are the same kernel and tail over per-subsample SubsampleResults.
 """
 from __future__ import annotations
 
@@ -85,22 +94,28 @@ def _check_features(stat: Statistic, arr: np.ndarray, ndim: int = 2) -> int:
     return arr.shape[-2]
 
 
-def jackknife_chunk(stat: Statistic, features, ks) -> list[SubsampleResult]:
+def jackknife_arrays(stat: Statistic, features, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jackknife the subsamples features[i], ordinals ks[i], with leave-one-out
     downdates over the whole (Kc, n, q) chunk at once.
 
-    A failing chunk raises the error of its first failing subsample in ks order,
-    checked as for one subsample: mean point domain, mean point finite,
-    leave-one-out domain, finite results. g only ever sees in-domain points.
+    Returns float64 arrays (theta_hat, theta_jds, ss), entry i for subsample
+    ks[i]; ks is a sequence, read only to name a failing subsample. A failing
+    chunk raises the error of its first failing subsample in ks order, checked
+    as for one subsample: mean point domain, mean point finite, leave-one-out
+    domain, finite results. g only ever sees in-domain points.
     """
     arr = np.asarray(features, dtype=np.float64)
     n = _check_features(stat, arr, ndim=3)
-    ks = list(ks)
     if len(ks) != arr.shape[0]:
         raise ValueError(f"{len(ks)} ordinals for {arr.shape[0]} subsamples")
 
-    # sum / n is the arithmetic of mean(), without its Python-level overhead
-    mu = arr.sum(axis=1) / n
+    # sum / n is the arithmetic of mean(), without its Python-level overhead.
+    # Where the rows of a column are not the contiguous axis, sum adds them in
+    # order, as einsum does in longer inner loops (see the module docstring).
+    if stat.q > 1 and arr.flags.c_contiguous:
+        mu = np.einsum("knq->kq", arr) / n
+    else:
+        mu = arr.sum(axis=1) / n
     mean_ok = stat.in_domain(mu)
     # theta_hat = g at every in-domain mean in one call; g_mean keeps the
     # rounding of g on a single 1-d point (see Statistic.g_mean)
@@ -135,9 +150,18 @@ def jackknife_chunk(stat: Statistic, features, ks) -> list[SubsampleResult]:
             f"statistic {stat.name!r} undefined at leave-one-out point j={j} "
             f"of subsample k={ks[good]}: moments={loo[good, j].tolist()}"
         )
+    return theta_hat, theta_jds, ss
+
+
+def jackknife_chunk(stat: Statistic, features, ks) -> list[SubsampleResult]:
+    """jackknife_arrays' results for each subsample, as SubsampleResults in ks order."""
+    arr = np.asarray(features, dtype=np.float64)
+    ks = list(ks)
+    columns = (array.tolist() for array in jackknife_arrays(stat, arr, ks))
+    n = arr.shape[1]
     return [
         SubsampleResult(k=k, theta_hat=hat, theta_jds=jds, ss=s, n=n)
-        for k, hat, jds, s in zip(ks, theta_hat.tolist(), theta_jds.tolist(), ss.tolist())
+        for k, hat, jds, s in zip(ks, *columns)
     ]
 
 
@@ -164,15 +188,48 @@ def aggregate(
     """
     if not results:
         raise ValueError("no subsample results to aggregate")
-    checked_ci_center(ci_center)
     ordered = sorted(results, key=lambda r: r.k)
     n = ordered[0].n
     if any(r.n != n for r in ordered):
         raise ValueError("subsample results mix different n")
-    K = len(ordered)
-    theta_sos = math.fsum(r.theta_hat for r in ordered) / K
-    theta_jds = math.fsum(r.theta_jds for r in ordered) / K
-    se2 = (1.0 / K + n / n_rows) * math.fsum(r.ss for r in ordered) / K
+    return summarize(
+        [r.theta_hat for r in ordered],
+        [r.theta_jds for r in ordered],
+        [r.ss for r in ordered],
+        n,
+        n_rows,
+        alpha=alpha,
+        master_seed=master_seed,
+        statistic_name=statistic_name,
+        rng_id=rng_id,
+        ci_center=ci_center,
+    )
+
+
+def summarize(
+    theta_hat: list[float],
+    theta_jds: list[float],
+    ss: list[float],
+    n: int,
+    n_rows: int,
+    *,
+    alpha: float = 0.05,
+    master_seed: int = 0,
+    statistic_name: str = "",
+    rng_id: str = "",
+    ci_center: str = "jds",
+) -> EstimateReport:
+    """The report from K >= 1 subsamples' values, entry i of each list from
+    the same subsample.
+
+    Sums are exactly rounded (math.fsum), so the report does not depend on
+    the order of the subsamples, nor on how they were chunked.
+    """
+    checked_ci_center(ci_center)
+    K = len(theta_hat)
+    theta_sos = math.fsum(theta_hat) / K
+    theta_jds = math.fsum(theta_jds) / K
+    se2 = (1.0 / K + n / n_rows) * math.fsum(ss) / K
     se = math.sqrt(se2)
     center = theta_jds if ci_center == "jds" else theta_sos
     ci_low, ci_high = confidence_interval(center, se, alpha)

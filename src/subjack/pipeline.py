@@ -1,12 +1,14 @@
 """End-to-end estimation over an on-disk dataset.
 
 Subsamples k = 1..K run in order in the calling thread, a chunk of Kc
-consecutive k at a time: one draw_chunk call draws the indices of every k in
-the chunk, row k being the stream keyed by subsample_seed(master_seed, k);
-then the chunk's rows are read in one gather, mapped by phi, and jackknifed by
-one kernel call. Results are reduced in k order, so the report does not depend
-on the chunk size. Kc keeps a chunk's gathered rows, and its features, within
-CHUNK_BYTES.
+consecutive k at a time: one subsample_seeds call derives the chunk's seeds,
+one draw_chunk call draws the indices of every k in the chunk, row k being
+the stream keyed by subsample_seed(master_seed, k); then the chunk's rows are
+read in one gather, mapped by phi, and jackknifed by one jackknife_arrays
+call. Each chunk's theta_hat, theta_jds and ss arrays are appended in k order
+to three lists of floats, which summarize turns into the report; no object is
+built per subsample. The report does not depend on the chunk size. Kc keeps a
+chunk's gathered rows, and its features, within CHUNK_BYTES.
 """
 from __future__ import annotations
 
@@ -15,12 +17,12 @@ from pathlib import Path
 
 from .estimator import (
     EstimateReport,
-    aggregate,
     checked_alpha,
     checked_ci_center,
-    jackknife_chunk,
+    jackknife_arrays,
+    summarize,
 )
-from .sampling import RNG_ID, checked_count, checked_master_seed, draw_chunk, subsample_seed
+from .sampling import RNG_ID, checked_count, checked_master_seed, draw_chunk, subsample_seeds
 from .stats import Statistic, parse_statistic
 from .store import DatasetHandle, DatasetHeader, open_dataset, read_header
 
@@ -71,7 +73,7 @@ def run_estimate(
     """Estimate a statistic from K subsamples of size n drawn with replacement.
 
     Every argument is checked before the first draw: by check_run, and
-    ci_center by the check aggregate applies. ``workers`` is accepted for
+    ci_center by the check summarize applies. ``workers`` is accepted for
     compatibility and selects nothing: every run is single-threaded, and the
     report never depends on it.
     """
@@ -80,15 +82,18 @@ def run_estimate(
     checked_ci_center(ci_center)
 
     chunk = max(1, CHUNK_BYTES // (8 * n * max(stat.q, handle.col_count)))
-    results = []
+    # theta_hat, theta_jds and ss of every subsample so far, in k order
+    columns: tuple[list[float], ...] = ([], [], [])
     for first in range(1, K + 1, chunk):
         ks = range(first, min(first + chunk, K + 1))
-        seeds = [subsample_seed(master_seed, k) for k in ks]
-        indices = draw_chunk(seeds, handle.row_count, n)
+        indices = draw_chunk(subsample_seeds(master_seed, ks), handle.row_count, n)
         features = stat.phi(handle.read_records(indices.ravel()).rows)
-        results += jackknife_chunk(stat, features.reshape(len(ks), n, stat.q), ks)
-    return aggregate(
-        results,
+        arrays = jackknife_arrays(stat, features.reshape(len(ks), n, stat.q), ks)
+        for column, values in zip(columns, arrays):
+            column += values.tolist()
+    return summarize(
+        *columns,
+        n,
         handle.row_count,
         alpha=alpha,
         master_seed=master_seed,

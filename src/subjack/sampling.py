@@ -21,8 +21,10 @@ block size used to fetch them, so every index stream is a pure function of
 (seed, N, n) regardless of batching or which worker performs the draw.
 draw_chunk draws a whole chunk of seeds with one block per seed and one pass
 of numpy calls over the blocks; draw_with_replacement is its one-row case.
-Subsample k of a run with master seed s draws the row of
-subsample_seed(s, k), so it does not depend on K or on the chunking either.
+subsample_seeds derives a chunk's seeds in one pass of uint64 array
+arithmetic; subsample_seed is its one-ordinal case. Subsample k of a run with
+master seed s draws the row of subsample_seed(s, k), so it does not depend on
+K or on the chunking either.
 """
 from __future__ import annotations
 
@@ -45,17 +47,34 @@ _GAMMA = 0x9E3779B97F4A7C15
 _streams = threading.local()
 
 
+def subsample_seeds(master_seed: int, ks) -> list[int]:
+    """The seeds of ordinals ks under master_seed, in order (SplitMix64 mix).
+
+    One pass of wrapping uint64 array arithmetic over all of ks, which numpy
+    reads as int64 ordinals. Only arrays take part: numpy warns when a uint64
+    scalar product wraps, an array never.
+    """
+    z = np.asarray(ks)
+    if z.size == 0:
+        return []
+    if z.dtype.kind not in "iu":
+        raise ValueError(f"ordinals must be integers below 2**63, got dtype {z.dtype}")
+    if z.min() < 1:
+        raise ValueError("ordinal k must be >= 1")
+    z = z.astype(np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(int(master_seed) & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z.tolist()
+
+
 def subsample_seed(master_seed: int, k: int) -> int:
     """Derive the seed for ordinal k from the master seed (SplitMix64 mix)."""
-    if k < 1:
-        raise ValueError("ordinal k must be >= 1")
-    z = (int(master_seed) + k * _GAMMA) & _MASK64
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
-    z ^= z >> 31
-    return z
+    return subsample_seeds(master_seed, [k])[0]
 
 
 def _index_mask(n_rows: int) -> np.uint64:

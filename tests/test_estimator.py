@@ -12,6 +12,7 @@ from subjack.estimator import (
     SubsampleResult,
     aggregate,
     confidence_interval,
+    jackknife_arrays,
     jackknife_chunk,
     jackknife_subsample,
     normal_quantile,
@@ -208,6 +209,53 @@ def test_chunk_theta_hat_is_g_at_each_mean_point_bit_for_bit(which, kc, n, seed)
     mu = features.sum(axis=1) / n
     chunk = jackknife_chunk(stat, features, range(1, kc + 1))
     assert _hex(r.theta_hat for r in chunk) == _hex(stat.g(m) for m in mu)
+
+
+def _mean_recorder(q):
+    # g_mean records the subsample means the kernel hands it
+    seen = []
+
+    def g_mean(m):
+        seen.append(m.copy())
+        return m[:, 0]
+
+    stat = Statistic(
+        f"record{q}", q, tuple(range(q)),
+        phi=lambda rows: rows, g=lambda m: m[..., 0],
+        in_domain=lambda m: np.ones(m.shape[:-1], dtype=bool), g_mean=g_mean,
+    )
+    return stat, seen
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    q=st.sampled_from([1, 2, 4, 5]),
+    kc=st.integers(1, 600),
+    n=st.integers(2, 700),
+    center=st.sampled_from([0.0, 3.0, 100.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_subsample_means_are_sums_over_rows_bit_for_bit(q, kc, n, center, seed):
+    # heavy tails (Student t, 2 degrees of freedom) make rounding order show
+    stat, seen = _mean_recorder(q)
+    arr = center + np.random.default_rng(seed).standard_t(2, size=(kc, n, q))
+    # a column-major view, where the rows of a column are the contiguous axis
+    strided = np.asfortranarray(arr.reshape(kc * n, q)).reshape(kc, n, q)
+    for features in (arr, strided):
+        jackknife_arrays(stat, features, range(1, kc + 1))
+        assert _hex(seen.pop().ravel()) == _hex((features.sum(axis=1) / n).ravel())
+
+
+def test_kernel_returns_float64_arrays_equal_to_chunk_results():
+    stat = stat_correlation(0, 1)
+    features = _chunk_features(stat, 9, 30, 5)
+    ks = range(4, 13)
+    arrays = jackknife_arrays(stat, features, ks)
+    assert all(a.dtype == np.float64 and a.shape == (9,) for a in arrays)
+    chunk = jackknife_chunk(stat, features, ks)
+    assert [a.tolist() for a in arrays] == [
+        [r.theta_hat for r in chunk], [r.theta_jds for r in chunk], [r.ss for r in chunk]
+    ]
 
 
 def test_kurt_mean_point_reducer_squares_with_pow():

@@ -120,6 +120,24 @@ def test_bad_ci_center_fails_before_any_draw(sigma_dataset, monkeypatch):
     assert len(draws) == 2
 
 
+def test_run_keeps_arrays_per_chunk(sigma_dataset, monkeypatch):
+    # no SubsampleResult per k, and one seed derivation per chunk, not per k
+    from subjack import estimator, pipeline
+
+    expected = run_estimate(sigma_dataset, "corr:0,1", 50, 2000, 3)
+    monkeypatch.setattr(estimator, "SubsampleResult",
+                        lambda **fields: pytest.fail("built a SubsampleResult"))
+    assert run_estimate(sigma_dataset, "corr:0,1", 50, 2000, 3) == expected
+    calls = []
+    real_seeds = pipeline.subsample_seeds
+    monkeypatch.setattr(pipeline, "subsample_seeds",
+                        lambda master, ks: calls.append(ks) or real_seeds(master, ks))
+    assert run_estimate(sigma_dataset, "corr:0,1", 50, 2000, 3) == expected
+    chunk = CHUNK_BYTES // (8 * 50 * 5)
+    assert len(calls) == 4
+    assert calls == [range(k, min(k + chunk, 2001)) for k in range(1, 2001, chunk)]
+
+
 def test_check_run_reads_a_path_header_only_after_other_arguments(tmp_path):
     from subjack.pipeline import check_run
     from subjack.store import StoreError

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from subjack.sampling import (
+    BENCH_SEED_OFFSET,
+    REPLICATION_SEED_OFFSET,
     ExclusionSet,
     checked_count,
     checked_master_seed,
@@ -11,6 +15,7 @@ from subjack.sampling import (
     draw_with_replacement,
     draw_without_replacement,
     subsample_seed,
+    subsample_seeds,
 )
 
 
@@ -34,8 +39,53 @@ def test_subsample_seed_deterministic_and_distinct():
 
 
 def test_subsample_seed_rejects_bad_ordinal():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         subsample_seed(1, 0)
+    assert str(exc.value) == "ordinal k must be >= 1"
+
+
+# estimate ordinals 1..K, then the replication and benchmark ranges above them
+_ORDINALS = st.one_of(
+    st.integers(1, 2**32 - 1),
+    st.integers(REPLICATION_SEED_OFFSET, REPLICATION_SEED_OFFSET + 10**6),
+    st.integers(BENCH_SEED_OFFSET, BENCH_SEED_OFFSET + 10**6),
+)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    master=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+    ks=st.lists(_ORDINALS, max_size=50),
+)
+def test_subsample_seeds_match_reference(master, ks):
+    # warnings are errors: a wrapping uint64 scalar product would warn
+    seeds = subsample_seeds(master, ks)
+    assert seeds == [_splitmix64_reference(master, k) for k in ks]
+    assert all(type(seed) is int for seed in seeds)
+    assert [subsample_seed(master, k) for k in ks] == seeds
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("master", [0, 2**64 - 1])
+def test_subsample_seeds_over_a_range_and_empty(master):
+    ks = range(1, 1001)
+    assert subsample_seeds(master, ks) == [_splitmix64_reference(master, k) for k in ks]
+    assert subsample_seeds(master, []) == []
+    assert subsample_seeds(master, range(5, 5)) == []
+
+
+@pytest.mark.parametrize("ks", [[0], [3, 0, 4], [2, -1]])
+def test_subsample_seeds_reject_ordinals_below_one(ks):
+    with pytest.raises(ValueError) as exc:
+        subsample_seeds(7, ks)
+    assert str(exc.value) == "ordinal k must be >= 1"
+
+
+def test_subsample_seeds_reject_non_integer_ordinals():
+    # a float array would otherwise be truncated onto another ordinal's seed
+    with pytest.raises(ValueError, match="ordinals must be integers"):
+        subsample_seeds(7, [1.5])
 
 
 def test_draw_single_point_support():
