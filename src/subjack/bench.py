@@ -4,11 +4,15 @@ Only index generation is timed (the part whose cost differs between modes);
 row reads and the mean estimate used for the MSE column happen outside the
 timer, and each timed sample loops the draw for a minimum window. Repeats are
 interleaved across all grid cells so background load drifts onto every cell
-equally, and the per-cell median is reported. Runs single-threaded for timing
+equally, and the per-cell median is reported. Within a repeat, the
+with-replacement cells, a few milliseconds a pass, share one window of
+alternating passes timed before the slow without-replacement cells, so a
+change in host speed reaches them alike. Runs single-threaded for timing
 fidelity.
 
 Repeat r of grid cell i draws subsamples k = 1..K from the master seed
 subsample_seed(subsample_seed(seed, BENCH_SEED_OFFSET + i), r), in both modes.
+With replacement, the K draws run in run_estimate's chunks (draw_chunks).
 Without replacement, the K draws exclude against one shared running set.
 """
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,17 +30,20 @@ from .sampling import (
     ExclusionSet,
     checked_count,
     checked_master_seed,
-    draw_chunk,
     draw_without_replacement,
     subsample_seed,
-    subsample_seeds,
 )
 from .simulate import temp_dataset
-from .store import open_dataset
+from .store import DatasetHandle, open_dataset
+
+# after .simulate, which imports pipeline: the package then imports its modules
+# in the order it did before bench used pipeline. perfbench's peak_rss_mb moved
+# with that order alone (est-small-n read 7 MiB more with pipeline first).
+from .pipeline import draw_chunks  # noqa: E402
 
 BENCH_CSV_COLUMNS = ["n", "K", "mode", "seconds", "mse"]
 
-# with-replacement draws at the paper's shapes take only 3-10 ms per pass
+# with-replacement draws at the paper's shapes take only a few ms per pass
 _MIN_WINDOW_S = 0.05
 
 
@@ -54,15 +62,23 @@ class BenchResult:
         }
 
 
-def _draw_with_replacement(n_rows: int, n: int, K: int, master_seed: int) -> np.ndarray:
-    return draw_chunk(subsample_seeds(master_seed, range(1, K + 1)), n_rows, n).ravel()
+def _draw_with_replacement(
+    handle: DatasetHandle, n: int, K: int, master_seed: int
+) -> np.ndarray:
+    """All K index sets, drawn in draw_chunks' chunks for the file's rows, which
+    are those run_estimate draws for a statistic with at most that many features.
+    """
+    chunks = draw_chunks(handle.row_count, n, K, master_seed, handle.col_count)
+    return np.concatenate([indices.ravel() for _, indices in chunks])
 
 
-def _draw_without_replacement(n_rows: int, n: int, K: int, master_seed: int) -> np.ndarray:
+def _draw_without_replacement(
+    handle: DatasetHandle, n: int, K: int, master_seed: int
+) -> np.ndarray:
     """All K index sets, excluding against one running set shared by the K draws."""
     drawn = ExclusionSet(capacity=n * K)
     return np.concatenate([
-        draw_without_replacement(subsample_seed(master_seed, k), n_rows, n, drawn)
+        draw_without_replacement(subsample_seed(master_seed, k), handle.row_count, n, drawn)
         for k in range(1, K + 1)
     ])
 
@@ -74,16 +90,22 @@ _DRAWS = {
 }
 
 
-def _timed_draw(draw, n_rows: int, n: int, K: int, master_seed: int) -> tuple[float, np.ndarray]:
-    """Seconds per pass that draws all K subsamples, and the drawn indices."""
-    passes = 0
-    start = time.perf_counter()
-    while True:
-        indices = draw(n_rows, n, K, master_seed)
-        passes += 1
-        elapsed = time.perf_counter() - start
-        if elapsed >= _MIN_WINDOW_S:
-            return elapsed / passes, indices
+def _timed_draw(draws) -> list[tuple[float, np.ndarray]]:
+    """Seconds per pass of each zero-argument draw, and the indices it drew.
+
+    Passes alternate between the draws, round after round, until the rounds
+    add up to one minimum window per draw.
+    """
+    seconds = [0.0] * len(draws)
+    indices = [None] * len(draws)
+    rounds = 0
+    while sum(seconds) < _MIN_WINDOW_S * len(draws):
+        for d, draw in enumerate(draws):
+            start = time.perf_counter()
+            indices[d] = draw()
+            seconds[d] += time.perf_counter() - start
+        rounds += 1
+    return [(total / rounds, drawn) for total, drawn in zip(seconds, indices)]
 
 
 def bench_sampling(
@@ -115,16 +137,22 @@ def bench_sampling(
                 f"({n}*{K} > {handle.row_count})"
             )
     cells = [(i, n, K, mode) for i, (n, K) in enumerate(grid) for mode in _DRAWS]
+    # the cells timed in one window: all with-replacement cells, then each other alone
+    fast = [c for c, cell in enumerate(cells) if cell[3] == "with_replacement"]
+    windows = [fast] + [[c] for c in range(len(cells)) if c not in fast]
 
     times: list[list[float]] = [[] for _ in cells]
     errors: list[list[float]] = [[] for _ in cells]
     for r in range(1, repeats + 1):
-        for (i, n, K, mode), cell_times, cell_errors in zip(cells, times, errors):
-            run_seed = subsample_seed(subsample_seed(seed, BENCH_SEED_OFFSET + i), r)
-            elapsed, indices = _timed_draw(_DRAWS[mode], handle.row_count, n, K, run_seed)
-            cell_times.append(elapsed)
-            column_means = handle.read_records(indices).rows.mean(axis=0)
-            cell_errors.append(float(np.mean(column_means**2)))
+        for window in windows:
+            draws = []
+            for i, n, K, mode in (cells[c] for c in window):
+                run_seed = subsample_seed(subsample_seed(seed, BENCH_SEED_OFFSET + i), r)
+                draws.append(partial(_DRAWS[mode], handle, n, K, run_seed))
+            for c, (elapsed, indices) in zip(window, _timed_draw(draws)):
+                times[c].append(elapsed)
+                column_means = handle.read_records(indices).rows.mean(axis=0)
+                errors[c].append(float(np.mean(column_means**2)))
 
     return [
         BenchResult(

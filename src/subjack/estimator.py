@@ -121,7 +121,11 @@ def jackknife_arrays(stat: Statistic, features, ks) -> tuple[np.ndarray, np.ndar
     # rounding of g on a single 1-d point (see Statistic.g_mean)
     theta_hat = np.full(len(ks), np.nan)
     theta_hat[mean_ok] = stat.g_mean(mu[mean_ok])
-    loo = n * mu[:, None] - arr
+    # (n * mu - x_j) / (n - 1) for every row j. n * mu repeated to the chunk's
+    # shape lets the subtraction run in loops over the whole chunk; a broadcast
+    # mu[:, None] runs them only q long. The operations, and bytes, are the same.
+    loo = np.repeat(n * mu, n, axis=0).reshape(arr.shape)
+    loo -= arr
     loo /= n - 1
     ok = stat.in_domain(loo)
     hat_ok = np.isfinite(theta_hat)

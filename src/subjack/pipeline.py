@@ -1,11 +1,12 @@
 """End-to-end estimation over an on-disk dataset.
 
 Subsamples k = 1..K run in order in the calling thread, a chunk of Kc
-consecutive k at a time: one subsample_seeds call derives the chunk's seeds,
-one draw_chunk call draws the indices of every k in the chunk, row k being
-the stream keyed by subsample_seed(master_seed, k); then the chunk's rows are
-read in one gather, mapped by phi, and jackknifed by one jackknife_arrays
-call. Each chunk's theta_hat, theta_jds and ss arrays are appended in k order
+consecutive k at a time. draw_chunks yields the chunks: one subsample_seeds
+call derives a chunk's seeds, one draw_chunk call draws the indices of every k
+in it, row k being the stream keyed by subsample_seed(master_seed, k); the
+sampling benchmark draws through it too. Then each chunk's rows are read in
+one gather, mapped by phi, and jackknifed by one jackknife_arrays call.
+Each chunk's theta_hat, theta_jds and ss arrays are appended in k order
 to three lists of floats, which summarize turns into the report; no object is
 built per subsample. The report does not depend on the chunk size. Kc keeps a
 chunk's gathered rows, and its features, within CHUNK_BYTES.
@@ -13,7 +14,10 @@ chunk's gathered rows, and its features, within CHUNK_BYTES.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from pathlib import Path
+
+import numpy as np
 
 from .estimator import (
     EstimateReport,
@@ -59,6 +63,20 @@ def check_run(
     return stat, n, K, master_seed, alpha
 
 
+def draw_chunks(
+    n_rows: int, n: int, K: int, master_seed: int, row_width: int
+) -> Iterator[tuple[range, np.ndarray]]:
+    """The indices of subsamples k = 1..K, as (ks, draw_chunk's (len(ks), n) array).
+
+    Chunks follow k order. Kc keeps a chunk's Kc * n rows of row_width float64
+    values each within CHUNK_BYTES.
+    """
+    chunk = max(1, CHUNK_BYTES // (8 * n * row_width))
+    for first in range(1, K + 1, chunk):
+        ks = range(first, min(first + chunk, K + 1))
+        yield ks, draw_chunk(subsample_seeds(master_seed, ks), n_rows, n)
+
+
 def run_estimate(
     data: DatasetHandle | str | Path,
     statistic: Statistic | str,
@@ -81,12 +99,10 @@ def run_estimate(
     stat, n, K, master_seed, alpha = check_run(handle, statistic, n, K, master_seed, alpha)
     checked_ci_center(ci_center)
 
-    chunk = max(1, CHUNK_BYTES // (8 * n * max(stat.q, handle.col_count)))
     # theta_hat, theta_jds and ss of every subsample so far, in k order
     columns: tuple[list[float], ...] = ([], [], [])
-    for first in range(1, K + 1, chunk):
-        ks = range(first, min(first + chunk, K + 1))
-        indices = draw_chunk(subsample_seeds(master_seed, ks), handle.row_count, n)
+    row_width = max(stat.q, handle.col_count)
+    for ks, indices in draw_chunks(handle.row_count, n, K, master_seed, row_width):
         features = stat.phi(handle.read_records(indices.ravel()).rows)
         arrays = jackknife_arrays(stat, features.reshape(len(ks), n, stat.q), ks)
         for column, values in zip(columns, arrays):

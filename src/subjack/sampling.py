@@ -21,6 +21,12 @@ block size used to fetch them, so every index stream is a pure function of
 (seed, N, n) regardless of batching or which worker performs the draw.
 draw_chunk draws a whole chunk of seeds with one block per seed and one pass
 of numpy calls over the blocks; draw_with_replacement is its one-row case.
+The block is sized to the acceptance rate p = N / (mask + 1) by block_width:
+the smallest w with p*w - 2*sqrt(w*p*(1-p)) >= n, floored at 16: enough words
+for n acceptances unless their accepted count falls more than two standard
+deviations below its mean. The few rows that fall short continue from their
+own stream. No output byte depends on the width; only the share of short rows
+does.
 subsample_seeds derives a chunk's seeds in one pass of uint64 array
 arithmetic; subsample_seed is its one-ordinal case. Subsample k of a run with
 master seed s draws the row of subsample_seed(s, k), so it does not depend on
@@ -28,7 +34,9 @@ K or on the chunking either.
 """
 from __future__ import annotations
 
+import math
 import threading
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -128,16 +136,15 @@ def checked_master_seed(master_seed: int) -> int:
     return seed
 
 
-def _keyed_philox(seed: int) -> np.random.Philox:
-    """This thread's Philox, reset to the start of the stream keyed by seed.
+def _philox_stream() -> tuple[np.random.Philox, dict, list[int]]:
+    """This thread's Philox, with the state dict and key list that re-key it.
 
-    Each thread keeps one Philox and one state dict whose counter and buffer
-    are Python-int tuples; re-keying writes the two key words into the dict's
-    key list and assigns the same dict to bits.state. That costs about 1 us,
-    against about 5 us for a freshly built state dict and about 18 us for
-    constructing np.random.Philox(key=seed) (2 vCPU, numpy 2.4, Python 3.11).
+    The state dict's counter and buffer are Python-int tuples; re-keying writes
+    the two key words into the key list and assigns the same dict to
+    bits.state. That costs about 1 us, against about 5 us for a freshly built
+    state dict and about 18 us for constructing np.random.Philox(key=seed)
+    (2 vCPU, numpy 2.4, Python 3.11).
     """
-    seed = checked_seed(seed)
     stream = getattr(_streams, "stream", None)
     if stream is None:
         key = [0, 0]
@@ -150,27 +157,69 @@ def _keyed_philox(seed: int) -> np.random.Philox:
             "uinteger": 0,
         }
         stream = _streams.stream = (np.random.Philox(0), state, key)
-    bits, state, key = stream
+    return stream
+
+
+def _keyed_philox(seed: int) -> np.random.Philox:
+    """This thread's Philox, reset to the start of the stream keyed by seed."""
+    seed = checked_seed(seed)
+    bits, state, key = _philox_stream()
     key[0] = seed & _MASK64
     key[1] = seed >> 64
     bits.state = state
     return bits
 
 
+def _checked_seeds(seeds) -> Sequence[int]:
+    """seeds as Python ints, if every one is a valid Philox key; else
+    checked_seed's error for the first that is not. A list of Python ints in
+    range, as subsample_seeds returns, passes with one check of the whole list.
+    """
+    if set(map(type, seeds)) == {int} and min(seeds) >= 0 and max(seeds) < 2**128:
+        return seeds
+    return [checked_seed(seed) for seed in seeds]
+
+
+def block_width(n_rows: int, n: int) -> int:
+    """Raw words in each row's first block when drawing n indices on [0, n_rows).
+
+    The smallest w with p*w - 2*sqrt(w*p*(1-p)) >= n, floored at 16, where
+    p = n_rows / (mask + 1) is the acceptance rate: w words hold n accepted
+    ones unless their count falls two standard deviations below its mean.
+    The closed-form root of that quadratic in sqrt(w) starts the search, which
+    then tests the rule itself, so float rounding of the root cannot move w.
+    """
+    p = n_rows / (int(_index_mask(n_rows)) + 1)
+    c = p * (1 - p)
+    w = max(math.floor(((math.sqrt(c) + math.sqrt(c + p * n)) / p) ** 2) - 1, 16)
+    while p * w - 2 * math.sqrt(w * c) < n:
+        w += 1
+    return w
+
+
 def draw_chunk(seeds, n_rows: int, n: int) -> np.ndarray:
     """Draw n uniform indices on [0, n_rows) per seed, as a (len(seeds), n) array.
 
     Row i holds the first n accepted words of the stream keyed by seeds[i].
-    Every row takes one block of max(2n, 16) raw words into a shared buffer,
-    which is masked, bounded and ranked by one numpy call each; a row with
+    The seeds are checked once for the chunk. Every row takes one block of
+    block_width(n_rows, n) raw words; the blocks are joined into one buffer,
+    which is masked, bounded and ranked by one numpy call each. A row with
     fewer than n accepted words continues from its own stream until it has n.
+    The width sets only how many rows continue: no output byte depends on it.
     """
     n_rows = checked_count(n_rows, "n_rows")
     n = checked_count(n, "n")
-    width = max(2 * n, 16)
-    raw = np.empty((len(seeds), width), dtype=np.uint64)
-    for row, seed in zip(raw, seeds):
-        row[:] = _keyed_philox(seed).random_raw(width)
+    seeds = _checked_seeds(seeds)
+    width = block_width(n_rows, n)
+    bits, state, key = _philox_stream()
+    blocks = []
+    for seed in seeds:
+        key[0] = seed & _MASK64
+        key[1] = seed >> 64
+        bits.state = state
+        blocks.append(bits.random_raw(width))
+    # one copy of all blocks; np.stack of 1-d blocks took 4x as long per row
+    raw = np.concatenate(blocks or [np.empty(0, np.uint64)]).reshape(-1, width)
     mask = _index_mask(n_rows)
     bound = np.uint64(n_rows)
     raw &= mask

@@ -211,20 +211,32 @@ def test_chunk_theta_hat_is_g_at_each_mean_point_bit_for_bit(which, kc, n, seed)
     assert _hex(r.theta_hat for r in chunk) == _hex(stat.g(m) for m in mu)
 
 
-def _mean_recorder(q):
-    # g_mean records the subsample means the kernel hands it
-    seen = []
+def _recorder(q):
+    # g_mean records the subsample means the kernel hands it, g the
+    # leave-one-out means
+    means, loos = [], []
 
     def g_mean(m):
-        seen.append(m.copy())
+        means.append(m.copy())
         return m[:, 0]
 
+    def g(m):
+        loos.append(m.copy())
+        return m[..., 0]
+
     stat = Statistic(
-        f"record{q}", q, tuple(range(q)),
-        phi=lambda rows: rows, g=lambda m: m[..., 0],
+        f"record{q}", q, tuple(range(q)), phi=lambda rows: rows, g=g,
         in_domain=lambda m: np.ones(m.shape[:-1], dtype=bool), g_mean=g_mean,
     )
-    return stat, seen
+    return stat, means, loos
+
+
+def _heavy_tailed_chunks(kc, n, q, center, seed):
+    # heavy tails (Student t, 2 degrees of freedom) make rounding order show;
+    # the chunk C-ordered and as a column-major view, where the rows of a
+    # column are the contiguous axis
+    arr = center + np.random.default_rng(seed).standard_t(2, size=(kc, n, q))
+    return arr, np.asfortranarray(arr.reshape(kc * n, q)).reshape(kc, n, q)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -236,14 +248,27 @@ def _mean_recorder(q):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_kernel_subsample_means_are_sums_over_rows_bit_for_bit(q, kc, n, center, seed):
-    # heavy tails (Student t, 2 degrees of freedom) make rounding order show
-    stat, seen = _mean_recorder(q)
-    arr = center + np.random.default_rng(seed).standard_t(2, size=(kc, n, q))
-    # a column-major view, where the rows of a column are the contiguous axis
-    strided = np.asfortranarray(arr.reshape(kc * n, q)).reshape(kc, n, q)
-    for features in (arr, strided):
+    stat, means, _ = _recorder(q)
+    for features in _heavy_tailed_chunks(kc, n, q, center, seed):
         jackknife_arrays(stat, features, range(1, kc + 1))
-        assert _hex(seen.pop().ravel()) == _hex((features.sum(axis=1) / n).ravel())
+        assert _hex(means.pop().ravel()) == _hex((features.sum(axis=1) / n).ravel())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    q=st.sampled_from([1, 2, 4, 5]),
+    kc=st.integers(1, 60),
+    n=st.integers(2, 400),
+    center=st.sampled_from([0.0, 3.0, 100.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_leave_one_out_means_are_the_downdate_bit_for_bit(q, kc, n, center, seed):
+    stat, means, loos = _recorder(q)
+    for features in _heavy_tailed_chunks(kc, n, q, center, seed):
+        jackknife_arrays(stat, features, range(1, kc + 1))
+        mu = means.pop()
+        expected = (n * mu[:, None] - features) / (n - 1)
+        assert _hex(loos.pop().ravel()) == _hex(expected.ravel())
 
 
 def test_kernel_returns_float64_arrays_equal_to_chunk_results():

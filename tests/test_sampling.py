@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from subjack.sampling import (
     BENCH_SEED_OFFSET,
     REPLICATION_SEED_OFFSET,
     ExclusionSet,
+    block_width,
     checked_count,
     checked_master_seed,
     checked_seed,
@@ -186,27 +189,79 @@ def test_draw_matches_freshly_keyed_philox(seed, n_rows):
 
 
 def _first_block_is_short(seed, n_rows, n):
-    # fewer than n of the stream's first max(2n, 16) words are accepted
+    # fewer than n of the stream's first block_width(n_rows, n) words are accepted
     mask = np.uint64((1 << (n_rows - 1).bit_length()) - 1 if n_rows > 1 else 0)
-    words = np.random.Philox(key=seed).random_raw(max(2 * n, 16)) & mask
+    words = np.random.Philox(key=seed).random_raw(block_width(n_rows, n)) & mask
     return int((words < np.uint64(n_rows)).sum()) < n
+
+
+# found by search: their first blocks are short at n_rows = 2**20 + 1, for
+# n = 50 and n = 500 respectively, so those rows take the continuation
+SHORT_SEEDS = [113, 12]
 
 
 @pytest.mark.parametrize("n_rows", [1, 2, 3, 2**20, 2**20 + 1, 10**6])
 def test_chunk_draw_matches_freshly_keyed_philox(n_rows):
     # each seed twice, in two orders, so a row never depends on its position
-    seeds = REKEY_SEEDS + REKEY_SEEDS[::-1]
-    short_rows = 0
+    seeds = REKEY_SEEDS + SHORT_SEEDS
+    seeds += seeds[::-1]
+    short_rows = {}
     for n in (1, 2, 50, 500):
         got = draw_chunk(seeds, n_rows, n)
         assert got.dtype == np.int64
         assert got.shape == (len(seeds), n)
         for seed, row in zip(seeds, got):
             np.testing.assert_array_equal(row, _fresh_philox_draw(seed, n_rows, n))
-            short_rows += _first_block_is_short(seed, n_rows, n)
+        short_rows[n] = sum(_first_block_is_short(seed, n_rows, n) for seed in seeds)
     if n_rows == 2**20 + 1:
-        # about half the words are accepted, so some rows need a second block
-        assert short_rows > 0
+        # the SHORT_SEEDS rows need more than their first block
+        assert short_rows[50] > 0 and short_rows[500] > 0
+
+
+# any n_rows, and the powers of two and their successors, where the
+# acceptance rate is 1 and just above 1/2
+_N_ROWS = st.one_of(
+    st.integers(1, 2**62),
+    st.integers(0, 62).map(lambda m: 2**m),
+    st.integers(0, 61).map(lambda m: 2**m + 1),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n_rows=_N_ROWS,
+    n=st.integers(1, 700),
+    seeds=st.lists(st.integers(0, 2**128 - 1), max_size=8),
+)
+def test_chunk_draw_matches_freshly_keyed_philox_for_any_shape(n_rows, n, seeds):
+    got = draw_chunk(seeds, n_rows, n)
+    assert got.dtype == np.int64
+    assert got.shape == (len(seeds), n)
+    for seed, row in zip(seeds, got):
+        np.testing.assert_array_equal(row, _fresh_philox_draw(seed, n_rows, n))
+
+
+def _smallest_width(n_rows, n):
+    # the documented rule, by linear search from w = 1
+    p = n_rows / ((1 << (n_rows - 1).bit_length()) if n_rows > 1 else 1)
+    w = 1
+    while p * w - 2 * math.sqrt(w * p * (1 - p)) < n:
+        w += 1
+    return max(w, 16)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n_rows=_N_ROWS, n=st.integers(1, 3000))
+def test_block_width_is_the_smallest_width_meeting_its_rule(n_rows, n):
+    assert block_width(n_rows, n) == _smallest_width(n_rows, n)
+
+
+@pytest.mark.parametrize("n_rows,n,width", [
+    (3 * 10**7, 500, 576), (10**6, 500, 535), (10**6, 50, 56),
+    (2**20 + 1, 500, 1066), (2**20 + 1, 50, 123), (2**20, 500, 500), (10**6, 2, 16),
+])
+def test_block_width_at_the_paper_shapes(n_rows, n, width):
+    assert block_width(n_rows, n) == width
 
 
 def test_chunk_draw_of_no_seeds_is_empty():
@@ -220,6 +275,25 @@ def test_chunk_draw_rejects_bad_arguments():
         draw_chunk([1], 10, 0)
     with pytest.raises(ValueError, match="seed must be in"):
         draw_chunk([1, 2**128], 10, 3)
+
+
+@pytest.mark.parametrize("seeds,message", [
+    ([5, 2.5, -1], "seed must be an integer, got 2.5"),
+    ([5, -1, 2.5], "seed must be in [0, 2**128), got -1"),
+    ([True, 3], "seed must be an integer, got True"),
+    ((7, 2**128, "x"), "seed must be in [0, 2**128), got 340282366920938463463374607431768211456"),
+])
+def test_chunk_draw_names_its_first_bad_seed(seeds, message):
+    with pytest.raises(ValueError) as exc:
+        draw_chunk(seeds, 10, 3)
+    assert str(exc.value) == message
+
+
+def test_chunk_draw_takes_integer_valued_seeds_of_any_type():
+    seeds = [3, 4.0, np.uint64(2**64 - 1), np.int64(9)]
+    expected = draw_chunk([3, 4, 2**64 - 1, 9], 10**6, 40)
+    np.testing.assert_array_equal(draw_chunk(seeds, 10**6, 40), expected)
+    np.testing.assert_array_equal(draw_chunk(np.array([3, 4], np.uint64), 10**6, 40), expected[:2])
 
 
 def test_interleaved_seeds_leak_no_stream_state():
@@ -252,10 +326,14 @@ def test_concurrent_chunk_draws_keep_their_own_streams():
     import threading
 
     # 2**20 + 1 rows make short rows, which re-key mid-chunk; three threads on
-    # a short switch interval interleave their re-keys as often as possible
+    # a short switch interval interleave their re-keys as often as possible.
+    # k runs to 180 so that every chunk holds one: its first short rows are
+    # k = 87, 173 and 137 under masters 0, 5 and 2**64 - 1.
     n_rows, n, rounds = 2**20 + 1, 50, 20
-    seeds = {master: [subsample_seed(master, k) for k in range(1, 41)]
+    seeds = {master: [subsample_seed(master, k) for k in range(1, 181)]
              for master in (0, 5, 2**64 - 1)}
+    for chunk_seeds in seeds.values():
+        assert sum(_first_block_is_short(s, n_rows, n) for s in chunk_seeds) > 0
     start = threading.Barrier(len(seeds))
     got = {}
 
