@@ -19,9 +19,14 @@ the target as it was.
 Reads and ingestion work in bulk. read_records checks its indices, then
 gathers every requested row with one bounds-checked ``take`` on the mapped
 array. convert_csv reads CSV rows a block at a time into per-column cell lists
-and parses, checks and transforms a column at a time; only a block holding a
-bad cell is rescanned row by row, to name the first one. Output bytes and
-error texts are those of a row-by-row loop.
+and parses, checks and transforms a column at a time. Cells go to float()
+unstripped: float() ignores the surrounding whitespace str.strip() removes,
+or rejects the cell. A column of a block where float() fails (a
+whitespace-only cell, padding of U+001C..U+001F, a bad cell) is stripped and
+parsed again, and only a block still holding a bad cell is rescanned row
+by row, to name the first one. signed_log runs math.log once per distinct
+magnitude of a column block. Output bytes and error texts are those of a
+row-by-row loop.
 """
 from __future__ import annotations
 
@@ -283,23 +288,26 @@ def _convert_block(csv_path, cols: list[list[str]], first_row: int, apply_log: b
     """Parse one block of cells, column by column; return its complete rows.
 
     Row by row, a selected cell is parsed only if every earlier selected cell
-    of its row is non-empty (the first empty one drops the row). Those cells
-    are parsed with float() in bulk; if any fails or is non-finite, the error
-    comes from _bad_cell_error, which finds the first such cell in row order.
+    of its row is non-empty (the first empty one drops the row). A column's
+    cells are first parsed unstripped, an empty cell being one of length 0.
+    float() ignores the surrounding whitespace str.strip() removes (or, for
+    U+001C..U+001F, rejects the cell), so this gives the stripped values
+    whenever it succeeds. If it fails anywhere in the column, every cell is
+    stripped, the empty ones found again, and the column parsed again. If
+    that fails too, or a value is non-finite, the error comes from
+    _bad_cell_error, which finds the first such cell in row order.
     """
     m = len(cols[0])
     counted = np.ones(m, dtype=bool)
     parsed = []
     for col in cols:
-        texts = list(map(str.strip, col))
-        counted = counted & (np.fromiter(map(len, texts), dtype=np.intp, count=m) > 0)
-        size = int(np.count_nonzero(counted))
         try:
-            values = np.fromiter(
-                map(float, compress(texts, counted.tolist())), dtype=np.float64, count=size
-            )
+            values, counted = _parse_column(col, counted)
         except ValueError:
-            raise _bad_cell_error(csv_path, cols, first_row) from None
+            try:
+                values, counted = _parse_column(list(map(str.strip, col)), counted)
+            except ValueError:
+                raise _bad_cell_error(csv_path, cols, first_row) from None
         if not np.isfinite(values).all():
             raise _bad_cell_error(csv_path, cols, first_row)
         parsed.append((values, counted))
@@ -310,12 +318,32 @@ def _convert_block(csv_path, cols: list[list[str]], first_row: int, apply_log: b
     return block
 
 
+def _parse_column(texts: list[str], counted: np.ndarray):
+    """float() of each non-empty text where counted; the narrowed mask with it.
+
+    Raises ValueError from the first text float() rejects.
+    """
+    counted = counted & (np.fromiter(map(len, texts), dtype=np.intp, count=len(texts)) > 0)
+    size = int(np.count_nonzero(counted))
+    values = np.fromiter(
+        map(float, compress(texts, counted.tolist())), dtype=np.float64, count=size
+    )
+    return values, counted
+
+
 def _signed_log_array(values: np.ndarray) -> np.ndarray:
-    """signed_log of each finite value, through math.log as signed_log does."""
+    """signed_log of each finite value, through math.log as signed_log does.
+
+    math.log runs once per distinct magnitude (np.unique), and each value
+    takes the log of its own magnitude back by index, so every value still
+    gets math.log of the same double.
+    """
     out = np.zeros_like(values)
     nonzero = values != 0.0
     x = values[nonzero]
-    mags = np.fromiter(map(math.log, np.abs(x).tolist()), dtype=np.float64, count=x.size)
+    distinct, inverse = np.unique(np.abs(x), return_inverse=True)
+    logs = np.fromiter(map(math.log, distinct.tolist()), dtype=np.float64, count=distinct.size)
+    mags = logs[inverse]
     out[nonzero] = np.where(x < 0, -mags, mags)
     return out
 

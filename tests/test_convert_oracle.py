@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from subjack import store
@@ -23,10 +23,12 @@ GOOD = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-(10**20), 10**20).map(str),
     st.sampled_from(
-        ["1_000", "-0", "0", "-0.0", "1e-400", "١٢", " 2.5 ", "+7", "1e308", ".5", "-1"]
+        ["1_000", "-0", "0", "-0.0", "1e-400", "١٢", " 2.5 ", "+7", "1e308", ".5", "-1",
+         # padding str.strip() removes; float() skips all but U+001C, which it rejects
+         "\u30003.5\u3000", "\xa0-2\xa0", "\x1c7\x1c", "\u20031e3\u2003"]
     ),
 )
-EMPTY = st.sampled_from(["", " ", "\t", "  \t "])
+EMPTY = st.sampled_from(["", " ", "\t", "  \t ", "\u3000", "\xa0", "\x1c", "\u2003"])
 BAD = st.sampled_from(
     ["hello", "nan", "inf", "-inf", "NaN", "-Infinity", "1e999", "1,5", "1__0", "0x10"]
 )
@@ -173,13 +175,55 @@ def test_convert_matches_row_loop_across_full_blocks(tmp_path_factory, plants, d
     if drop_first_block:
         lines[:65536] = [",1,2\r\n"] * 65536
     for i, j, bad, empty_before in plants:
-        row = next(csv.reader([lines[i]]))
-        _plant(row, [0, 2], j, bad, 0 if empty_before else None)
-        out = io.StringIO()
-        csv.writer(out).writerow(row)
-        lines[i] = out.getvalue()
+        _replant(lines, i, j, bad, empty_before)
     text = "x,y,z\r\n" + "".join(lines)
     _assert_same_as_oracle(tmp_path_factory.mktemp("big"), text, ["x", "z"], transform)
+
+
+def _replant(lines, i, j, cell, empty_before):
+    """Put cell in selected column j (of x, z) of CSV line i, as _plant does."""
+    row = next(csv.reader([lines[i]]))
+    _plant(row, [0, 2], j, cell, 0 if empty_before else None)
+    out = io.StringIO()
+    csv.writer(out).writerow(row)
+    lines[i] = out.getvalue()
+
+
+# no shrink phase: each shrink step converts 140,000 rows twice, and a failing
+# example already names its planted rows
+@settings(max_examples=4, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(
+    blanks=st.lists(
+        st.tuples(st.sampled_from(_EDGES), st.integers(0, 1), st.sampled_from([" ", "\t"])),
+        min_size=1, max_size=4,
+    ),
+    bad=st.none() | st.tuples(st.sampled_from(_EDGES) | st.integers(0, _BIG_ROWS - 1),
+                              st.integers(0, 1), BAD),
+    transform=st.sampled_from(["none", "signed_log"]),
+)
+def test_whitespace_only_cells_across_full_blocks(tmp_path_factory, blanks, bad, transform):
+    # a whitespace-only cell makes float() fail on its column, so that column
+    # of the 65536-row block is stripped and parsed again
+    lines = list(_big_lines())
+    for i, j, blank in blanks:
+        _replant(lines, i, j, blank, False)
+    if bad is not None:
+        _replant(lines, *bad, False)
+    text = "x,y,z\r\n" + "".join(lines)
+    _assert_same_as_oracle(tmp_path_factory.mktemp("blank"), text, ["x", "z"], transform)
+
+
+def test_convert_matches_row_loop_on_distinct_reals(tmp_path):
+    # one full block and a short one of repr(float) cells, no magnitude
+    # repeated, so signed_log's np.unique gives back a table as long as a block
+    rows = 70_000
+    rng = np.random.default_rng(12)
+    mags = np.unique(np.exp(rng.uniform(-40.0, 40.0, size=3 * rows)))
+    cells = rng.permutation(mags)[: 2 * rows].reshape(rows, 2)
+    cells *= rng.choice([-1.0, 1.0], size=cells.shape)
+    text = "x,y\r\n" + "".join(f"{a!r},{b!r}\r\n" for a, b in cells.tolist())
+    _assert_same_as_oracle(tmp_path, text, ["x", "y"], "signed_log")
 
 
 _HUGE = "z" * (csv.field_size_limit() + 1)  # the reader fails on this field

@@ -4,10 +4,11 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from subjack import store
 from subjack.store import (
     HEADER_SIZE,
     DatasetHeader,
@@ -253,6 +254,46 @@ def test_signed_log_rejects_nonfinite(bad):
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_signed_log_is_odd(x):
     assert signed_log(-x) == -signed_log(x)
+
+
+_LOG_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
+              1e-310, -1e-310, 1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _log_inputs(draw):
+    """Blocks of heavy repeats, of all-distinct values, and of edge values."""
+    kind = draw(st.sampled_from(["repeats", "distinct", "edges"]))
+    if kind == "repeats":
+        pool = draw(st.lists(_FINITE, min_size=1, max_size=5))
+        picks = st.sampled_from(pool)
+        size = draw(st.integers(0, 300))
+        # each pooled magnitude may appear with either sign
+        return [draw(picks) * draw(st.sampled_from([1.0, -1.0])) for _ in range(size)]
+    if kind == "distinct":
+        return draw(st.lists(_FINITE, max_size=300, unique_by=abs))
+    return draw(st.lists(st.sampled_from(_LOG_EDGES) | _FINITE, max_size=100))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(values=_log_inputs())
+@example(values=_LOG_EDGES + [7.25, -7.25, 7.25, 3.0, -3.0] * 5)
+def test_signed_log_array_matches_signed_log_bit_for_bit(values):
+    x = np.array(values, dtype=np.float64)
+    want = np.array([signed_log(v) for v in values], dtype=np.float64)
+    assert store._signed_log_array(x).tobytes() == want.tobytes()
+
+
+def test_signed_log_array_on_distinct_reals_matches_math_log():
+    # distinct magnitudes near 1, where a vectorised log is likeliest to
+    # differ from libm's math.log in the last bit, and spread over binades
+    rng = np.random.default_rng(5)
+    x = np.unique(np.concatenate([rng.uniform(0.5, 2.0, size=32768),
+                                  np.exp(rng.uniform(-700.0, 700.0, size=32768))]))
+    x[::2] *= -1.0
+    want = np.array([signed_log(v) for v in x.tolist()], dtype=np.float64)
+    assert store._signed_log_array(x).tobytes() == want.tobytes()
 
 
 def _write_csv(path, text):
