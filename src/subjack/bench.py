@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .pipeline import draw_chunks
 from .sampling import (
     BENCH_SEED_OFFSET,
     ExclusionSet,
@@ -35,11 +36,6 @@ from .sampling import (
 )
 from .simulate import temp_dataset
 from .store import DatasetHandle, open_dataset
-
-# after .simulate, which imports pipeline: the package then imports its modules
-# in the order it did before bench used pipeline. perfbench's peak_rss_mb moved
-# with that order alone (est-small-n read 7 MiB more with pipeline first).
-from .pipeline import draw_chunks  # noqa: E402
 
 BENCH_CSV_COLUMNS = ["n", "K", "mode", "seconds", "mse"]
 

@@ -62,13 +62,17 @@ def generate_bivariate_normal(
     rng = np.random.Generator(np.random.Philox(key=checked_seed(seed)))
 
     def chunks():
+        # filled in place: arrays made per chunk let peak RSS follow heap layout
+        normals = np.empty((_GEN_CHUNK, 2), dtype=np.float64)
         block = np.empty((_GEN_CHUNK, 2), dtype=np.float64)
         for start in range(0, n_rows, _GEN_CHUNK):
-            z = rng.standard_normal((min(_GEN_CHUNK, n_rows - start), 2))
+            z = rng.standard_normal(out=normals[:min(_GEN_CHUNK, n_rows - start)])
             out = block[:len(z)]
             # explicit lower-triangular mix keeps the output independent of chunking
-            out[:, 0] = chol[0, 0] * z[:, 0]
-            out[:, 1] = chol[1, 0] * z[:, 0] + chol[1, 1] * z[:, 1]
+            np.multiply(chol[0, 0], z[:, 0], out=out[:, 0])
+            np.multiply(chol[1, 0], z[:, 0], out=out[:, 1])
+            z[:, 1] *= chol[1, 1]
+            out[:, 1] += z[:, 1]
             yield out  # reusing block is safe: write_blocks writes it before the next pull
 
     return write_blocks(out_path, 2, chunks())

@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from subjack.simulate import (
     replication_seed,
     run_replications,
 )
-from subjack.store import open_dataset
+from subjack.store import open_dataset, write_blocks
 
 PAPER_SIGMA = [[25.0, 10.0], [10.0, 5.0]]
 
@@ -48,6 +49,18 @@ def test_generate_deterministic(tmp_path):
         generate_bivariate_normal(123, 5000, PAPER_SIGMA, path)
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, simulate._GEN_CHUNK])
+def test_generated_bytes_do_not_depend_on_chunking(tmp_path, chunk):
+    rows = 2 * chunk + 3
+    with mock.patch.object(simulate, "_GEN_CHUNK", chunk):
+        generate_bivariate_normal(123, rows, PAPER_SIGMA, tmp_path / "chunked.sjds")
+    z = np.random.Generator(np.random.Philox(key=123)).standard_normal((rows, 2))
+    chol = np.linalg.cholesky(np.array(PAPER_SIGMA))
+    mixed = np.column_stack([chol[0, 0] * z[:, 0], chol[1, 0] * z[:, 0] + chol[1, 1] * z[:, 1]])
+    write_blocks(tmp_path / "one_shot.sjds", 2, [mixed])
+    assert (tmp_path / "chunked.sjds").read_bytes() == (tmp_path / "one_shot.sjds").read_bytes()
 
 
 def test_generate_rejects_bad_sigma(tmp_path):

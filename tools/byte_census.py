@@ -5,11 +5,18 @@ The grid covers:
     kurt and corr at three (n, K) shapes, three master seeds and both CI
     centers, on two datasets: a generated mean-zero bivariate normal file and
     one converted from a seeded CSV whose columns have nonzero means;
+  * three estimates on a generated file of 2**20 + 1 rows, where about half
+    the raw words are accepted, so some index rows run short of their first
+    block and take the draw's continuation;
+  * the bytes of every file it generates, and of that CSV converted with
+    both transforms: 150,000 rows, over two full 65536-row blocks, with
+    repeated integers and padded, whitespace-only and empty cells;
   * one `subjack simulate` CSV row and its --out JSON;
   * the mse column of bench_sampling (its seconds column is a timing).
 
 Two checkouts that print the same digest write the same bytes on the grid.
-It takes about 5 s on 2 cores:
+To compare two checkouts, copy this file into the base one and run it from
+each, so both run the same grid. It takes about 3 s on 2 cores:
 
     python3 tools/byte_census.py
 """
@@ -42,17 +49,36 @@ STATS = ["mean:0", "var:1", "sd:0", "kurt:0", "corr:0,1"]
 SHAPES = [(2, 1000), (50, 1000), (500, 200)]
 MASTER_SEEDS = [0, 42, 2**64 - 1]
 CENTERS = ["jds", "sos"]
+# float() skips these around a number; U+001C it rejects, though str.strip() removes it
+SPACES = " \t\u3000\xa0\u2003"
 
 
 def write_seeded_csv(path: Path, rows: int) -> None:
-    """x near 3 and y near 100, so moments do not vanish as they do at mean 0."""
+    """x near 3 and y near 100, so moments do not vanish as they do at mean 0,
+    and count, integers in [-300, 300] that repeat.
+
+    Each column has 1% empty cells and 5% padded with whitespace. x and count
+    are padded only with SPACES, so they parse as read; y also has U+001C
+    padding and 1% whitespace-only cells, so it takes the strip pass.
+    """
     rng = np.random.Generator(np.random.Philox(key=20231))
     x = 3.0 + 2.0 * rng.standard_normal(rows)
     y = 100.0 + 0.5 * x + rng.standard_normal(rows)
-    with open(path, "w", newline="") as fh:
+    count = rng.integers(-300, 301, rows)
+
+    def cells(texts, pads, blank):
+        """1% empty, a share `blank` whitespace only, 5% padded, the rest as they are."""
+        u = rng.random(rows).tolist()
+        pad = rng.choice(list(pads), rows).tolist()
+        return ["" if v < 0.01 else p if v < 0.01 + blank else p + t + p if v < 0.06 + blank
+                else t for t, v, p in zip(texts, u, pad)]
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        writer.writerows((repr(a), repr(b)) for a, b in zip(x.tolist(), y.tolist()))
+        writer.writerow(["x", "y", "count"])
+        writer.writerows(zip(cells(map(repr, x.tolist()), SPACES, 0.0),
+                             cells(map(repr, y.tolist()), SPACES + "\x1c", 0.01),
+                             cells(map(str, count.tolist()), SPACES, 0.0)))
 
 
 def estimate_text(path: Path, stat: str, n: int, K: int, seed: int, center: str) -> str:
@@ -89,10 +115,15 @@ def census() -> tuple[int, str]:
 
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        generated, converted = workdir / "generated.sjds", workdir / "converted.sjds"
+        generated, pow2plus1 = workdir / "generated.sjds", workdir / "pow2plus1.sjds"
+        converted, logged = workdir / "converted.sjds", workdir / "signed_log.sjds"
         generate_bivariate_normal(7, 100_000, SIGMA, generated)
-        write_seeded_csv(workdir / "seeded.csv", 20_000)
-        convert_csv(workdir / "seeded.csv", ["x", "y"], "none", converted)
+        generate_bivariate_normal(3, 2**20 + 1, SIGMA, pow2plus1)
+        write_seeded_csv(workdir / "seeded.csv", 150_000)
+        convert_csv(workdir / "seeded.csv", ["x", "y", "count"], "none", converted)
+        convert_csv(workdir / "seeded.csv", ["x", "y", "count"], "signed_log", logged)
+        for path in (generated, pow2plus1, converted, logged):
+            add(f"file {path.name}", hashlib.sha256(path.read_bytes()).hexdigest())
 
         for path in (generated, converted):
             for stat in STATS:
@@ -101,6 +132,9 @@ def census() -> tuple[int, str]:
                         for center in CENTERS:
                             add(f"estimate {path.name} {stat} n={n} K={K} seed={seed} {center}",
                                 estimate_text(path, stat, n, K, seed, center))
+        for stat, n, K in [("corr:0,1", 50, 1000), ("corr:0,1", 500, 200), ("kurt:0", 500, 200)]:
+            add(f"estimate {pow2plus1.name} {stat} n={n} K={K} seed=11 jds",
+                estimate_text(pow2plus1, stat, n, K, 11, "jds"))
         add("simulate", simulate_bytes(workdir))
         for result in bench_sampling(100_000, [(50, 40), (10, 100)], 5, repeats=2,
                                      data_path=generated):
