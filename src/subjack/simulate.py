@@ -4,6 +4,15 @@ A replication re-runs the full estimate pipeline on the same fixed dataset
 with a fresh master seed derived from (master_seed, replication ordinal), so
 only the subsampling randomness varies across replications. Replication m's
 outcome depends on (master_seed, m) alone, never on execution order.
+
+Each process that runs replications maps the dataset once and reads every
+replication it runs through that one handle: run_replications itself when it
+runs them in-process, and each pool process from its first task on. A pool
+process's RSS therefore counts once each dataset page it has touched; those
+are shared file pages, not heap. The in-process handle is dropped when
+run_replications returns, so nothing stays mapped; a pool process opens its
+handle inside a task, so an open error reaches the caller as that task's
+StoreError, as it does in-process.
 """
 from __future__ import annotations
 
@@ -22,7 +31,7 @@ import numpy as np
 from .estimator import confidence_interval
 from .pipeline import check_run, run_estimate
 from .sampling import REPLICATION_SEED_OFFSET, checked_count, checked_seed, subsample_seed
-from .store import DatasetHeader, write_blocks
+from .store import DatasetHandle, DatasetHeader, open_dataset, write_blocks
 
 _GEN_CHUNK = 1 << 18
 
@@ -212,10 +221,28 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _replication_worker(args) -> tuple[int, float, float, float]:
-    path, statistic, n, K, alpha, master_seed, m = args
-    report = run_estimate(path, statistic, n, K, replication_seed(master_seed, m), alpha=alpha)
+def _replicate(handle: DatasetHandle, cfg: ExperimentConfig, m: int):
+    """(m, theta_sos, theta_jds, se) of replication m, read through handle."""
+    report = run_estimate(
+        handle, cfg.statistic, cfg.n, cfg.K, replication_seed(cfg.master_seed, m), alpha=cfg.alpha
+    )
     return m, report.theta_sos, report.theta_jds, report.se
+
+
+# A pool process's run: the dataset path and config _pool_start sets, and the
+# handle its first task opens.
+_pool_run: dict[str, Any] = {}
+
+
+def _pool_start(path: str, cfg: ExperimentConfig) -> None:
+    _pool_run.update(path=path, cfg=cfg, handle=None)
+
+
+def _pool_replicate(m: int):
+    # opened by a task, not by _pool_start: an initializer's error breaks the pool
+    if _pool_run["handle"] is None:
+        _pool_run["handle"] = open_dataset(_pool_run["path"])
+    return _replicate(_pool_run["handle"], _pool_run["cfg"], m)
 
 
 def _parse_generator_spec(spec: dict) -> tuple[int, int, np.ndarray]:
@@ -301,16 +328,13 @@ def run_replications(cfg: ExperimentConfig, *, workers: int | None = 1) -> Repli
 
 
 def _collect_replications(cfg: ExperimentConfig, path: str, workers: int | None):
-    tasks = [
-        (path, cfg.statistic, cfg.n, cfg.K, cfg.alpha, cfg.master_seed, m)
-        for m in range(1, cfg.M + 1)
-    ]
-    n_workers = resolve_workers(workers)
-    if n_workers <= 1 or cfg.M == 1:
-        results = [_replication_worker(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(
-                pool.map(_replication_worker, tasks, chunksize=max(1, cfg.M // (8 * n_workers)))
-            )
-    return sorted(results, key=lambda item: item[0])
+    """Every replication's outcome, in m order, from at most M processes."""
+    ms = range(1, cfg.M + 1)
+    n_workers = min(resolve_workers(workers), cfg.M)
+    if n_workers <= 1:
+        handle = open_dataset(path)
+        return [_replicate(handle, cfg, m) for m in ms]
+    with ProcessPoolExecutor(
+        max_workers=n_workers, initializer=_pool_start, initargs=(path, cfg)
+    ) as pool:
+        return list(pool.map(_pool_replicate, ms, chunksize=max(1, cfg.M // (8 * n_workers))))

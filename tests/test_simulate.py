@@ -1,20 +1,22 @@
 import hashlib
+import json
 import math
 import os
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from subjack import simulate
+from subjack import cli, simulate
 from subjack.simulate import (
     ExperimentConfig,
     generate_bivariate_normal,
     replication_seed,
     run_replications,
 )
-from subjack.store import open_dataset, write_blocks
+from subjack.store import StoreError, open_dataset, write_blocks
 
 PAPER_SIGMA = [[25.0, 10.0], [10.0, 5.0]]
 
@@ -143,6 +145,82 @@ def test_generator_spec_dataset():
     metrics = run_replications(cfg)
     assert len(metrics.per_rep) == 3
     assert cfg.dataset_label() == "generated:rows=20000,seed=4"
+
+
+def test_generator_spec_dataset_in_a_pool(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    cfg = ExperimentConfig(
+        dataset={"rows": 20_000, "sigma": PAPER_SIGMA, "seed": 4},
+        statistic="corr:0,1", n=30, K=10, M=4, master_seed=1,
+        theta_true=2 / math.sqrt(5),
+    )
+    serial = run_replications(cfg, workers=1)
+    parallel = run_replications(cfg, workers=2)
+    assert serial.per_rep == parallel.per_rep
+    assert serial.csv_row() == parallel.csv_row()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_pool_is_capped_at_m_processes(sim_dataset, monkeypatch):
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    base = dict(dataset=sim_dataset, statistic="corr:0,1", n=20, K=5, master_seed=8)
+    three = ExperimentConfig(M=3, **base)
+    assert run_replications(three, workers=8).per_rep == run_replications(three).per_rep
+    run_replications(ExperimentConfig(M=1, **base), workers=8)
+    assert sizes == [3]
+
+
+@pytest.mark.parametrize("damage", ["truncate", "replace"])
+def test_open_error_is_the_same_for_every_worker_count(tmp_path, monkeypatch, capsys, damage):
+    # the config is built on a valid file, which then changes before the run
+    path = tmp_path / "d.sjds"
+
+    def make_valid():
+        generate_bivariate_normal(1, 2000, np.eye(2), path)
+
+    def spoil():
+        if damage == "truncate":
+            with open(path, "r+b") as fh:
+                fh.truncate(path.stat().st_size - 8)
+        else:
+            path.write_text("x,y\n1,2\n")
+
+    make_valid()
+    cfg = ExperimentConfig(dataset=str(path), statistic="corr:0,1", n=10, K=5, M=3)
+    spoil()
+    messages = []
+    for workers in (1, 2):
+        with pytest.raises(StoreError) as info:
+            run_replications(cfg, workers=workers)
+        assert type(info.value) is StoreError
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert str(path) in messages[0]
+
+    real_run = cli.run_replications
+
+    def spoil_then_run(cfg, *, workers):
+        spoil()
+        return real_run(cfg, workers=workers)
+
+    monkeypatch.setattr(cli, "run_replications", spoil_then_run)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"dataset": str(path), "statistic": "corr:0,1",
+                                    "n": 10, "K": 5, "M": 3}))
+    for workers in ("1", "2"):
+        make_valid()
+        code = cli.main(["simulate", "--config", str(cfg_path), "--workers", workers])
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err_lines[-1] == f"subjack: error: {messages[0]}"
+        assert [line for line in err_lines if not line.startswith("[1/1] ")] == err_lines[-1:]
 
 
 def test_failed_generation_leaves_no_temp_file(tmp_path, monkeypatch):

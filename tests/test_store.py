@@ -296,6 +296,23 @@ def test_signed_log_array_on_distinct_reals_matches_math_log():
     assert store._signed_log_array(x).tobytes() == want.tobytes()
 
 
+def test_signed_log_array_follows_the_math_log_it_calls(monkeypatch):
+    # a log one ulp above libm's is matched by nothing but math.log itself,
+    # so a vectorised log fails here whatever kernel the CPU selects
+    real_log = math.log
+
+    def perturbed_log(x):
+        return math.nextafter(real_log(x), math.inf)
+
+    rng = np.random.default_rng(6)
+    x = np.concatenate([rng.uniform(0.5, 2.0, size=4096), [1.0, -1.0, 7.25, -7.25, 0.0]])
+    x[::3] *= -1.0
+    want = np.array([0.0 if v == 0.0 else (1.0 if v > 0 else -1.0) * perturbed_log(abs(v))
+                     for v in x.tolist()], dtype=np.float64)
+    monkeypatch.setattr(store.math, "log", perturbed_log)
+    assert store._signed_log_array(x).tobytes() == want.tobytes()
+
+
 def _write_csv(path, text):
     path.write_text(text)
     return path
