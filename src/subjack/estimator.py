@@ -285,10 +285,7 @@ def normal_quantile(p: float) -> float:
         den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
         return num / den
     if p > 1.0 - _QUANT_SPLIT:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        return -num / den
+        return -normal_quantile(1.0 - p)  # 1 - p is exact for p >= 0.5
     q = p - 0.5
     r = q * q
     num = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q

@@ -5,24 +5,29 @@ with a fresh master seed derived from (master_seed, replication ordinal), so
 only the subsampling randomness varies across replications. Replication m's
 outcome depends on (master_seed, m) alone, never on execution order.
 
-Each process that runs replications maps the dataset once and reads every
-replication it runs through that one handle: run_replications itself when it
-runs them in-process, and each pool process from its first task on. A pool
-process's RSS therefore counts once each dataset page it has touched; those
-are shared file pages, not heap. The in-process handle is dropped when
-run_replications returns, so nothing stays mapped; a pool process opens its
-handle inside a task, so an open error reaches the caller as that task's
-StoreError, as it does in-process.
+_replicate(path, cfg, m) is the one replication task: run_replications maps
+it over m in-process, or through a pool, with the same arguments. It opens the
+dataset through a one-entry cache, so each process that runs replications maps
+the dataset once and reads every replication it runs through that one map; a
+pool process opens it in its first task, so an open error reaches the caller
+as that task's StoreError at every worker count. A pool process's RSS
+therefore counts once each dataset page it has touched; those are shared file
+pages, not heap. The in-process run empties the cache before it returns, so
+nothing stays mapped. Pool processes exit once their parent is gone.
 """
 from __future__ import annotations
 
 import math
+import multiprocessing
 import numbers
 import os
 import tempfile
+import threading
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import lru_cache, partial
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -31,7 +36,7 @@ import numpy as np
 from .estimator import confidence_interval
 from .pipeline import check_run, run_estimate
 from .sampling import REPLICATION_SEED_OFFSET, checked_count, checked_seed, subsample_seed
-from .store import DatasetHandle, DatasetHeader, open_dataset, write_blocks
+from .store import DatasetHeader, open_dataset, write_blocks
 
 _GEN_CHUNK = 1 << 18
 
@@ -107,7 +112,8 @@ class ExperimentConfig:
     here, and the statistic, n, K, alpha and master seed by pipeline.check_run,
     the check run_estimate makes. A generator spec is checked whole (its
     sigma too) and counts as a 2-column dataset; a path has its header read,
-    after every other field has passed. Counts and seeds are stored as ints.
+    after every other field has passed. Counts and seeds are stored as ints,
+    and a spec's parsed (seed, rows, sigma) as _spec (None for a path).
     """
 
     dataset: str | dict
@@ -124,9 +130,10 @@ class ExperimentConfig:
         if self.theta_true is not None and not isinstance(self.theta_true, numbers.Real):
             raise ValueError(f"theta_true must be a number or null, got {self.theta_true!r}")
         if isinstance(self.dataset, dict):
-            dataset = DatasetHeader(row_count=_parse_generator_spec(self.dataset)[1], col_count=2)
+            spec = _parse_generator_spec(self.dataset)
+            dataset = DatasetHeader(row_count=spec[1], col_count=2)
         elif isinstance(self.dataset, (str, Path)):
-            dataset = self.dataset
+            spec, dataset = None, self.dataset
         else:
             raise ValueError(
                 f"dataset must be a path or a generator spec object, got {self.dataset!r}"
@@ -135,7 +142,7 @@ class ExperimentConfig:
             dataset, self.statistic, self.n, self.K, self.master_seed, self.alpha
         )
         for name, value in [("n", n), ("K", K), ("M", M), ("master_seed", master_seed),
-                            ("alpha", alpha)]:
+                            ("alpha", alpha), ("_spec", spec)]:
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -151,9 +158,9 @@ class ExperimentConfig:
         return cls(**raw)
 
     def dataset_label(self) -> str:
-        if not isinstance(self.dataset, dict):
+        if self._spec is None:
             return str(self.dataset)
-        seed, rows, _ = _parse_generator_spec(self.dataset)
+        seed, rows, _ = self._spec
         return f"generated:rows={rows},seed={seed}"
 
 
@@ -215,34 +222,14 @@ def replication_seed(master_seed: int, m: int) -> int:
 
 
 def resolve_workers(workers: int | None) -> int:
-    """Process count for a replication pool; None or <= 0 means auto."""
+    """Process count for a replication pool; None or <= 0 means auto.
+
+    Auto is the number of CPUs this process may run on, up to 8.
+    """
     if workers is None or workers <= 0:
-        return min(os.cpu_count() or 1, 8)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        return min(cpus or 1, 8)
     return workers
-
-
-def _replicate(handle: DatasetHandle, cfg: ExperimentConfig, m: int):
-    """(m, theta_sos, theta_jds, se) of replication m, read through handle."""
-    report = run_estimate(
-        handle, cfg.statistic, cfg.n, cfg.K, replication_seed(cfg.master_seed, m), alpha=cfg.alpha
-    )
-    return m, report.theta_sos, report.theta_jds, report.se
-
-
-# A pool process's run: the dataset path and config _pool_start sets, and the
-# handle its first task opens.
-_pool_run: dict[str, Any] = {}
-
-
-def _pool_start(path: str, cfg: ExperimentConfig) -> None:
-    _pool_run.update(path=path, cfg=cfg, handle=None)
-
-
-def _pool_replicate(m: int):
-    # opened by a task, not by _pool_start: an initializer's error breaks the pool
-    if _pool_run["handle"] is None:
-        _pool_run["handle"] = open_dataset(_pool_run["path"])
-    return _replicate(_pool_run["handle"], _pool_run["cfg"], m)
 
 
 def _parse_generator_spec(spec: dict) -> tuple[int, int, np.ndarray]:
@@ -262,27 +249,53 @@ def _parse_generator_spec(spec: dict) -> tuple[int, int, np.ndarray]:
     return checked_seed(seed), rows, checked_sigma(sigma)
 
 
-@contextmanager
-def _dataset_path(dataset: str | dict):
-    """Yield a dataset path; a generator spec is written to a temp file."""
-    if not isinstance(dataset, dict):
-        yield dataset
-        return
-    with temp_dataset(*_parse_generator_spec(dataset)) as path:
-        yield path
+# this process's map of the dataset it runs replications on
+_open_cached = lru_cache(maxsize=1)(open_dataset)
 
 
-def _sample_sd(values: list[float]) -> float:
-    m = len(values)
-    if m < 2:
-        return float("nan")
-    mean = math.fsum(values) / m
-    return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (m - 1))
+def _replicate(path: str | Path, cfg: ExperimentConfig, m: int):
+    """(m, theta_sos, theta_jds, se) of replication m of cfg on the dataset at path."""
+    report = run_estimate(
+        _open_cached(path), cfg.statistic, cfg.n, cfg.K, replication_seed(cfg.master_seed, m),
+        alpha=cfg.alpha,
+    )
+    return m, report.theta_sos, report.theta_jds, report.se
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: end this process once the process that started the pool is gone."""
+    parent = multiprocessing.parent_process()
+
+    def watch():
+        # join returns at EOF on a pipe the parent holds open; a pool process
+        # forked after this one holds it too, and exits by the same rule first
+        parent.join()
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _score(values: list[float], ses: list[float], intervals: list[tuple[float, float]],
+           theta: float | None) -> tuple[float, float, float, float]:
+    """(bias, SE, ECP, median RAE) of one estimator family's M estimates."""
+    M = len(values)
+    if theta is None:
+        bias = ecp = float("nan")
+    else:
+        bias = math.fsum(v - theta for v in values) / M
+        ecp = sum(1 for low, high in intervals if low <= theta <= high) / M
+    sd = float("nan")
+    if M >= 2:
+        mean = math.fsum(values) / M
+        sd = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (M - 1))
+    rel_err = [abs(se / sd - 1.0) if sd > 0 else float("nan") for se in ses]
+    rae = float("nan") if math.isnan(rel_err[0]) else float(np.median(rel_err))
+    return bias, sd, ecp, rae
 
 
 def run_replications(cfg: ExperimentConfig, *, workers: int | None = 1) -> ReplicationMetrics:
     """Run the estimate pipeline M times and score both estimator families."""
-    with _dataset_path(cfg.dataset) as path:
+    with nullcontext(cfg.dataset) if cfg._spec is None else temp_dataset(*cfg._spec) as path:
         reps = _collect_replications(cfg, path, workers)
 
     per_rep = [
@@ -291,50 +304,25 @@ def run_replications(cfg: ExperimentConfig, *, workers: int | None = 1) -> Repli
                        *confidence_interval(sos, se, cfg.alpha))
         for m, sos, jds, se in reps
     ]
-
-    M = cfg.M
-    sos_vals = [r.theta_sos for r in per_rep]
-    jds_vals = [r.theta_jds for r in per_rep]
-    se_vals = [r.se for r in per_rep]
-    theta = cfg.theta_true
-    if theta is None:
-        bias_sos = bias_jds = float("nan")
-        ecp_sos = ecp_jds = float("nan")
-    else:
-        bias_sos = math.fsum(v - theta for v in sos_vals) / M
-        bias_jds = math.fsum(v - theta for v in jds_vals) / M
-        ecp_sos = sum(1 for r in per_rep if r.ci_low_sos <= theta <= r.ci_high_sos) / M
-        ecp_jds = sum(1 for r in per_rep if r.ci_low_jds <= theta <= r.ci_high_jds) / M
-    se_sos = _sample_sd(sos_vals)
-    se_jds = _sample_sd(jds_vals)
-    rel_err_sos = [abs(se / se_sos - 1.0) if se_sos > 0 else float("nan") for se in se_vals]
-    rel_err_jds = [abs(se / se_jds - 1.0) if se_jds > 0 else float("nan") for se in se_vals]
-
-    def _median(values: list[float]) -> float:
-        return float(np.median(values)) if values and not math.isnan(values[0]) else float("nan")
-
-    return ReplicationMetrics(
-        config=cfg,
-        bias_sos=bias_sos,
-        bias_jds=bias_jds,
-        se_sos=se_sos,
-        se_jds=se_jds,
-        ecp_sos=ecp_sos,
-        ecp_jds=ecp_jds,
-        rae_median_sos=_median(rel_err_sos),
-        rae_median_jds=_median(rel_err_jds),
-        per_rep=per_rep,
-    )
+    ses = [r.se for r in per_rep]
+    scores_sos = _score([r.theta_sos for r in per_rep], ses,
+                        [(r.ci_low_sos, r.ci_high_sos) for r in per_rep], cfg.theta_true)
+    scores_jds = _score([r.theta_jds for r in per_rep], ses,
+                        [(r.ci_low_jds, r.ci_high_jds) for r in per_rep], cfg.theta_true)
+    # the metric fields alternate sos and jds: bias, se, ecp, rae_median
+    return ReplicationMetrics(cfg, *chain.from_iterable(zip(scores_sos, scores_jds)),
+                              per_rep=per_rep)
 
 
-def _collect_replications(cfg: ExperimentConfig, path: str, workers: int | None):
+def _collect_replications(cfg: ExperimentConfig, path: str | Path, workers: int | None):
     """Every replication's outcome, in m order, from at most M processes."""
     ms = range(1, cfg.M + 1)
+    task = partial(_replicate, path, cfg)
     n_workers = min(resolve_workers(workers), cfg.M)
     if n_workers <= 1:
-        handle = open_dataset(path)
-        return [_replicate(handle, cfg, m) for m in ms]
-    with ProcessPoolExecutor(
-        max_workers=n_workers, initializer=_pool_start, initargs=(path, cfg)
-    ) as pool:
-        return list(pool.map(_pool_replicate, ms, chunksize=max(1, cfg.M // (8 * n_workers))))
+        try:
+            return list(map(task, ms))
+        finally:
+            _open_cached.cache_clear()
+    with ProcessPoolExecutor(max_workers=n_workers, initializer=_exit_with_parent) as pool:
+        return list(pool.map(task, ms, chunksize=max(1, cfg.M // (8 * n_workers))))

@@ -524,6 +524,18 @@ def test_confidence_interval_alpha_032():
     assert z == pytest.approx(0.994458, abs=1e-6)
 
 
+@pytest.mark.parametrize("alpha, theta, se, low, high", [
+    (0.01, 0.5, 0.1, "0x1.f0785c46fef88p-3", "0x1.83e1e8ee4041ep-1"),
+    (0.01, -1.25, 2.0, "-0x1.99b4c653a0a4bp+2", "0x1.f3698ca741496p+1"),
+    (0.001, 0.5, 0.1, "0x1.5e19a1dc69550p-3", "0x1.a8799788e5aacp-1"),
+    (0.001, -1.25, 2.0, "-0x1.f52ffad63e2aep+2", "0x1.552ffad63e2aep+2"),
+])
+def test_confidence_interval_upper_tail_bytes(alpha, theta, se, low, high):
+    # 1 - alpha/2 lies in normal_quantile's upper tail; these bytes were recorded
+    # when that tail was its own copy of the lower tail's polynomial
+    assert confidence_interval(theta, se, alpha) == (float.fromhex(low), float.fromhex(high))
+
+
 def test_confidence_interval_validation():
     with pytest.raises(ValueError):
         confidence_interval(0.0, 1.0, 0.0)

@@ -1,15 +1,21 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import tempfile
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from subjack import cli, simulate
+from subjack import cli, simulate, store
 from subjack.simulate import (
     ExperimentConfig,
     generate_bivariate_normal,
@@ -221,6 +227,106 @@ def test_open_error_is_the_same_for_every_worker_count(tmp_path, monkeypatch, ca
         assert code == 2
         assert err_lines[-1] == f"subjack: error: {messages[0]}"
         assert [line for line in err_lines if not line.startswith("[1/1] ")] == err_lines[-1:]
+
+
+def _record_calls(monkeypatch, module, name, log_path):
+    """Patch module.name to append this process's pid to log_path on each call."""
+    real = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        with open(log_path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+
+
+def _pids(log_path):
+    return log_path.read_text().split() if log_path.exists() else []
+
+
+def test_in_process_run_opens_the_dataset_once(sim_dataset, tmp_path, monkeypatch):
+    cfg = ExperimentConfig(dataset=sim_dataset, statistic="corr:0,1", n=20, K=5, M=5)
+    _record_calls(monkeypatch, store, "read_header", tmp_path / "opens")
+    run_replications(cfg, workers=1)
+    assert _pids(tmp_path / "opens") == [str(os.getpid())]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool processes see the patches only when forked")
+def test_pool_opens_the_dataset_once_per_process(sim_dataset, tmp_path, monkeypatch):
+    cfg = ExperimentConfig(dataset=sim_dataset, statistic="corr:0,1", n=20, K=5, M=16)
+    _record_calls(monkeypatch, store, "read_header", tmp_path / "opens")
+    _record_calls(monkeypatch, simulate, "run_estimate", tmp_path / "tasks")
+    run_replications(cfg, workers=2)
+    opens, tasks = _pids(tmp_path / "opens"), _pids(tmp_path / "tasks")
+    assert len(tasks) == cfg.M
+    assert str(os.getpid()) not in tasks
+    assert sorted(opens) == sorted(set(tasks))
+
+
+def test_generator_spec_is_parsed_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    _record_calls(monkeypatch, simulate, "_parse_generator_spec", tmp_path / "parses")
+    cfg = ExperimentConfig(dataset={"rows": 2000, "seed": 4}, statistic="corr:0,1",
+                           n=20, K=5, M=2)
+    run_replications(cfg)
+    assert cfg.dataset_label() == "generated:rows=2000,seed=4"
+    assert len(_pids(tmp_path / "parses")) == 1
+
+
+@pytest.mark.parametrize("affinity, cpu_count, expected", [
+    (1, 16, 1), (3, 16, 3), (64, 16, 8), (None, 3, 3), (None, None, 1),
+])
+def test_auto_workers_follow_cpu_affinity(monkeypatch, affinity, cpu_count, expected):
+    # None: a platform without os.sched_getaffinity, where os.cpu_count decides
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
+                            raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert simulate.resolve_workers(0) == simulate.resolve_workers(None) == expected
+    assert simulate.resolve_workers(5) == 5
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
+def test_pool_processes_exit_with_their_parent(tmp_path):
+    data = tmp_path / "d.sjds"
+    generate_bivariate_normal(1, 2000, np.eye(2), data)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"dataset": str(data), "statistic": "corr:0,1",
+                                    "n": 20, "K": 200, "M": 20000}))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "subjack.cli", "simulate", "--config", str(cfg_path),
+         "--workers", "2"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    pgid = proc.pid
+    try:
+        assert proc.stderr.readline().startswith(b"[1/1] ")
+        time.sleep(1.0)
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 10.0
+        # the pool processes hold stderr's write end until they exit
+        reader = threading.Thread(target=proc.stderr.read, daemon=True)
+        reader.start()
+        reader.join(deadline - time.monotonic())
+        assert not reader.is_alive(), "pool processes outlived their parent"
+        while True:
+            try:
+                os.killpg(pgid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "process group still alive"
+            time.sleep(0.1)
+    finally:
+        try:
+            os.killpg(pgid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.stderr.close()
 
 
 def test_failed_generation_leaves_no_temp_file(tmp_path, monkeypatch):
