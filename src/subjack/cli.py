@@ -2,13 +2,16 @@
 
 Results go to stdout (JSON, CSV, or an aligned table); progress and
 diagnostics go to stderr. Exit codes: 0 success, 1 usage error, 2 runtime or
-domain error.
+domain error. SIGTERM takes SIGINT's path: the command unwinds, simulate's
+pool cancels the replications not yet started, and it exits 2 with one error
+line.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import signal
 import sys
 
 import numpy as np
@@ -158,14 +161,24 @@ _COMMANDS = {
 }
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
+    except KeyboardInterrupt:
+        print("subjack: error: interrupted", file=sys.stderr)
+        return 2
     except (StoreError, DomainEvalError, ValueError, IndexError, OSError,
             json.JSONDecodeError, csv.Error) as exc:
         print(f"subjack: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -191,24 +191,12 @@ class ReplicationMetrics:
 
     def csv_row(self) -> dict[str, Any]:
         cfg = self.config
-        return {
-            "dataset": cfg.dataset_label(),
-            "statistic": cfg.statistic,
-            "n": cfg.n,
-            "K": cfg.K,
-            "M": cfg.M,
-            "alpha": cfg.alpha,
-            "master_seed": cfg.master_seed,
-            "theta_true": "" if cfg.theta_true is None else cfg.theta_true,
-            "bias_sos": self.bias_sos,
-            "bias_jds": self.bias_jds,
-            "se_sos": self.se_sos,
-            "se_jds": self.se_jds,
-            "ecp_sos": self.ecp_sos,
-            "ecp_jds": self.ecp_jds,
-            "rae_median_sos": self.rae_median_sos,
-            "rae_median_jds": self.rae_median_jds,
-        }
+        row = {name: getattr(self if hasattr(self, name) else cfg, name)
+               for name in METRICS_CSV_COLUMNS}
+        row["dataset"] = cfg.dataset_label()
+        if cfg.theta_true is None:
+            row["theta_true"] = ""
+        return row
 
     def json_detail(self) -> dict[str, Any]:
         detail = self.csv_row()

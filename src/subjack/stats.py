@@ -4,7 +4,8 @@ Every statistic is the pair (phi, g): phi turns an (m, p) batch of rows into
 an (m, q) feature matrix whose column means feed g, and g maps moment vectors
 to the scalar of interest. g and its domain predicate broadcast over any
 leading axes, with moments on the last axis. g_mean is g as the jackknife
-applies it to a batch of subsample means (see Statistic.g_mean).
+applies it to a batch of subsample means (see Statistic.g_mean). Each formula
+is written once, and a domain predicate computes only the quantity it tests.
 """
 from __future__ import annotations
 
@@ -33,32 +34,29 @@ class Statistic:
     g_mean: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
+        for col in self.columns:
+            if col < 0:
+                raise ValueError(f"statistic {self.name!r} has negative column {col}")
         if self.g_mean is None:
             object.__setattr__(self, "g_mean", self.g)
 
     def validate_columns(self, col_count: int) -> None:
         for col in self.columns:
             if col >= col_count:
-                raise ValueError(
-                    f"statistic {self.name!r} needs column {col}, "
-                    f"dataset has {col_count}"
-                )
+                raise ValueError(f"statistic {self.name!r} needs column {col}, "
+                                 f"dataset has {col_count}")
 
 
 def _always(m: np.ndarray) -> np.ndarray:
     return np.ones(m.shape[:-1], dtype=bool)
 
 
-def stat_mean(col: int = 0) -> Statistic:
-    """Mean of one column; g is affine, so jackknife debiasing is a no-op."""
+def _var(m: np.ndarray, a: int = 0, b: int = 1) -> np.ndarray:
+    return m[..., b] - m[..., a] ** 2
 
-    def phi(rows):
-        return np.ascontiguousarray(rows[:, col : col + 1], dtype=np.float64)
 
-    def g(m):
-        return m[..., 0]
-
-    return Statistic(f"mean:{col}", 1, (col,), phi, g, _always)
+def _var_positive(m: np.ndarray) -> np.ndarray:
+    return _var(m) > 0
 
 
 def _phi_powers(col: int, top: int):
@@ -73,53 +71,46 @@ def _phi_powers(col: int, top: int):
     return phi
 
 
-def stat_variance(col: int = 0) -> Statistic:
-    """Population-style variance m2 - m1^2 of one column."""
+def stat_mean(col: int = 0) -> Statistic:
+    """Mean of one column; g is affine, so jackknife debiasing is a no-op."""
 
     def g(m):
-        return m[..., 1] - m[..., 0] ** 2
+        return m[..., 0]
 
-    return Statistic(f"var:{col}", 2, (col,), _phi_powers(col, 2), g, _always)
+    return Statistic(f"mean:{col}", 1, (col,), _phi_powers(col, 1), g, _always)
+
+
+def stat_variance(col: int = 0) -> Statistic:
+    """Population-style variance m2 - m1^2 of one column."""
+    return Statistic(f"var:{col}", 2, (col,), _phi_powers(col, 2), _var, _always)
 
 
 def stat_sd(col: int = 0) -> Statistic:
     """Standard deviation sqrt(m2 - m1^2); defined only for positive variance."""
 
     def g(m):
-        return np.sqrt(m[..., 1] - m[..., 0] ** 2)
+        return np.sqrt(_var(m))
 
-    def in_domain(m):
-        return m[..., 1] - m[..., 0] ** 2 > 0
-
-    return Statistic(f"sd:{col}", 2, (col,), _phi_powers(col, 2), g, in_domain)
+    return Statistic(f"sd:{col}", 2, (col,), _phi_powers(col, 2), g, _var_positive)
 
 
 def stat_kurtosis(col: int = 0) -> Statistic:
     """Raw kurtosis (Gaussian = 3) from the first four moments of one column."""
 
-    def _central(m):
+    def _mu4(m):
         m1, m2, m3, m4 = m[..., 0], m[..., 1], m[..., 2], m[..., 3]
-        v = m2 - m1**2
-        mu4 = m4 - 4 * m3 * m1 + 6 * m2 * m1**2 - 3 * m1**4
-        return v, mu4
+        return m4 - 4 * m3 * m1 + 6 * m2 * m1**2 - 3 * m1**4
 
     def g(m):
-        v, mu4 = _central(m)
-        return mu4 / v**2
+        return _mu4(m) / _var(m) ** 2
 
     def g_mean(m):
         # v**2 on each numpy scalar of v is libm pow, as in g on one 1-d point;
         # unlike a Python float's **, it overflows to inf instead of raising
-        v, mu4 = _central(m)
-        return mu4 / np.array([x**2 for x in v])
+        return _mu4(m) / np.array([v**2 for v in _var(m)])
 
-    def in_domain(m):
-        v, _ = _central(m)
-        return v > 0
-
-    return Statistic(
-        f"kurt:{col}", 4, (col,), _phi_powers(col, 4), g, in_domain, g_mean=g_mean
-    )
+    return Statistic(f"kurt:{col}", 4, (col,), _phi_powers(col, 4), g, _var_positive,
+                     g_mean=g_mean)
 
 
 def stat_correlation(col_a: int, col_b: int) -> Statistic:
@@ -128,8 +119,7 @@ def stat_correlation(col_a: int, col_b: int) -> Statistic:
         raise ValueError("columns must differ")
 
     def phi(rows):
-        xa = rows[:, col_a]
-        xb = rows[:, col_b]
+        xa, xb = rows[:, col_a], rows[:, col_b]
         out = np.empty((rows.shape[0], 5), dtype=np.float64)
         out[:, 0] = xa
         out[:, 1] = xb
@@ -138,19 +128,11 @@ def stat_correlation(col_a: int, col_b: int) -> Statistic:
         out[:, 4] = xa * xb
         return out
 
-    def _centrals(m):
-        va = m[..., 2] - m[..., 0] ** 2
-        vb = m[..., 3] - m[..., 1] ** 2
-        cov = m[..., 4] - m[..., 0] * m[..., 1]
-        return va, vb, cov
-
     def g(m):
-        va, vb, cov = _centrals(m)
-        return cov / np.sqrt(va * vb)
+        return (m[..., 4] - m[..., 0] * m[..., 1]) / np.sqrt(_var(m, 0, 2) * _var(m, 1, 3))
 
     def in_domain(m):
-        va, vb, _ = _centrals(m)
-        return (va > 0) & (vb > 0)
+        return (_var(m, 0, 2) > 0) & (_var(m, 1, 3) > 0)
 
     return Statistic(f"corr:{col_a},{col_b}", 5, (col_a, col_b), phi, g, in_domain)
 

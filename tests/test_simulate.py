@@ -329,6 +329,46 @@ def test_pool_processes_exit_with_their_parent(tmp_path):
         proc.stderr.close()
 
 
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["TERM", "INT"])
+def test_simulate_stops_on_signal_with_one_error_line(tmp_path, signum):
+    data = tmp_path / "d.sjds"
+    generate_bivariate_normal(1, 2000, np.eye(2), data)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"dataset": str(data), "statistic": "corr:0,1",
+                                    "n": 20, "K": 200, "M": 20000}))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "subjack.cli", "simulate", "--config", str(cfg_path),
+         "--workers", "2"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    pgid = proc.pid
+    try:
+        assert proc.stderr.readline().startswith(b"[1/1] ")
+        time.sleep(0.5)
+        os.kill(proc.pid, signum)
+        deadline = time.monotonic() + 10.0
+        assert proc.wait(timeout=10.0) == 2
+        stderr = []
+        reader = threading.Thread(target=lambda: stderr.append(proc.stderr.read()), daemon=True)
+        reader.start()
+        reader.join(deadline - time.monotonic())
+        assert stderr == [b"subjack: error: interrupted\n"]
+        while True:
+            try:
+                os.killpg(pgid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "process group still alive"
+            time.sleep(0.1)
+    finally:
+        try:
+            os.killpg(pgid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.stderr.close()
+
+
 def test_failed_generation_leaves_no_temp_file(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     real_write_blocks = simulate.write_blocks

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from subjack.estimator import DomainEvalError, jackknife_subsample
 from subjack.stats import (
+    Statistic,
     parse_statistic,
     stat_correlation,
     stat_kurtosis,
@@ -149,3 +151,176 @@ def test_parse_rejects_malformed(bad):
 def test_parse_defaults_columns():
     assert parse_statistic("mean").columns == (0,)
     assert parse_statistic("corr").columns == (0, 1)
+
+
+@pytest.mark.parametrize("build, column", [
+    (lambda: stat_mean(-1), -1),
+    (lambda: stat_variance(-1), -1),
+    (lambda: stat_sd(-2), -2),
+    (lambda: stat_kurtosis(-1), -1),
+    (lambda: stat_correlation(1, -1), -1),
+    (lambda: stat_correlation(-1, 0), -1),
+], ids=["mean", "var", "sd", "kurt", "corr-second", "corr-first"])
+def test_builders_reject_negative_columns(build, column):
+    with pytest.raises(ValueError, match=f"negative column {column}$"):
+        build()
+
+
+def test_custom_statistic_rejects_negative_column():
+    def first(m):
+        return m[..., 0]
+
+    with pytest.raises(ValueError, match="statistic 'custom' has negative column -3"):
+        Statistic("custom", 1, (0, -3), lambda rows: rows[:, :1], first, first)
+
+
+# Reference copies of the built-ins with every formula written out where it is
+# used; the shared helpers in subjack.stats must reproduce them bit for bit.
+def _ref_always(m):
+    return np.ones(m.shape[:-1], dtype=bool)
+
+
+def _ref_phi_powers(col, top):
+    def phi(rows):
+        x = rows[:, col]
+        out = np.empty((rows.shape[0], top), dtype=np.float64)
+        out[:, 0] = x
+        for j in range(1, top):
+            out[:, j] = out[:, j - 1] * x
+        return out
+
+    return phi
+
+
+def _ref_mean(col):
+    def phi(rows):
+        return np.ascontiguousarray(rows[:, col : col + 1], dtype=np.float64)
+
+    def g(m):
+        return m[..., 0]
+
+    return phi, g, _ref_always, g
+
+
+def _ref_variance(col):
+    def g(m):
+        return m[..., 1] - m[..., 0] ** 2
+
+    return _ref_phi_powers(col, 2), g, _ref_always, g
+
+
+def _ref_sd(col):
+    def g(m):
+        return np.sqrt(m[..., 1] - m[..., 0] ** 2)
+
+    def in_domain(m):
+        return m[..., 1] - m[..., 0] ** 2 > 0
+
+    return _ref_phi_powers(col, 2), g, in_domain, g
+
+
+def _ref_kurtosis(col):
+    def _central(m):
+        m1, m2, m3, m4 = m[..., 0], m[..., 1], m[..., 2], m[..., 3]
+        v = m2 - m1**2
+        mu4 = m4 - 4 * m3 * m1 + 6 * m2 * m1**2 - 3 * m1**4
+        return v, mu4
+
+    def g(m):
+        v, mu4 = _central(m)
+        return mu4 / v**2
+
+    def g_mean(m):
+        v, mu4 = _central(m)
+        return mu4 / np.array([x**2 for x in v])
+
+    def in_domain(m):
+        v, _ = _central(m)
+        return v > 0
+
+    return _ref_phi_powers(col, 4), g, in_domain, g_mean
+
+
+def _ref_correlation(col_a, col_b):
+    def phi(rows):
+        xa = rows[:, col_a]
+        xb = rows[:, col_b]
+        out = np.empty((rows.shape[0], 5), dtype=np.float64)
+        out[:, 0] = xa
+        out[:, 1] = xb
+        out[:, 2] = xa * xa
+        out[:, 3] = xb * xb
+        out[:, 4] = xa * xb
+        return out
+
+    def _centrals(m):
+        va = m[..., 2] - m[..., 0] ** 2
+        vb = m[..., 3] - m[..., 1] ** 2
+        cov = m[..., 4] - m[..., 0] * m[..., 1]
+        return va, vb, cov
+
+    def g(m):
+        va, vb, cov = _centrals(m)
+        return cov / np.sqrt(va * vb)
+
+    def in_domain(m):
+        va, vb, _ = _centrals(m)
+        return (va > 0) & (vb > 0)
+
+    return phi, g, in_domain, g
+
+
+# (statistic, reference, (mean, raw second moment) index pairs of its moments)
+_PINNED = [
+    (stat_mean(1), _ref_mean(1), []),
+    (stat_variance(2), _ref_variance(2), [(0, 1)]),
+    (stat_sd(0), _ref_sd(0), [(0, 1)]),
+    (stat_kurtosis(1), _ref_kurtosis(1), [(0, 1)]),
+    (stat_correlation(2, 0), _ref_correlation(2, 0), [(0, 2), (1, 3)]),
+]
+_VARIANCE_KINDS = ["random", "positive", "zero", "negative"]
+
+
+def _moments(rng, q, pairs, kinds, shape):
+    """Moment vectors whose variance at each (mean, second) pair is of the given kind.
+
+    "zero" takes means on a grid of eighths, whose squares are exact in every
+    rounding, so the variance is exactly 0.0 on every path.
+    """
+    m = rng.normal(0.0, 3.0, size=shape + (q,))
+    for (a, b), kind in zip(pairs, kinds):
+        if kind == "random":
+            continue
+        if kind == "zero":
+            m[..., a] = rng.integers(-40, 41, size=shape) / 8
+        sq = m[..., a] * m[..., a]
+        m[..., b] = {"positive": sq + rng.exponential(2.0, size=shape),
+                     "zero": sq,
+                     "negative": sq - rng.exponential(2.0, size=shape)}[kind]
+    return m
+
+
+def _same_bits(got, want):
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes().hex() == want.tobytes().hex()
+
+
+@pytest.mark.parametrize("stat, ref, pairs", _PINNED, ids=[stat.name for stat, _, _ in _PINNED])
+def test_builtin_formulas_match_reference_bit_for_bit(stat, ref, pairs):
+    ref_phi, ref_g, ref_in_domain, ref_g_mean = ref
+    rng = np.random.default_rng(2024)
+    rows = rng.normal(1.5, 2.0, size=(64, 3))
+    for batch in (rows, np.asfortranarray(rows), rows[::3]):
+        _same_bits(stat.phi(batch), ref_phi(batch))
+    with np.errstate(all="ignore"):
+        for kinds in itertools.product(_VARIANCE_KINDS, repeat=len(pairs)):
+            for m in _moments(rng, stat.q, pairs, kinds, (1500,)):
+                _same_bits(stat.g(m), ref_g(m))
+                _same_bits(stat.in_domain(m), ref_in_domain(m))
+            batch = _moments(rng, stat.q, pairs, kinds, (200,))
+            _same_bits(stat.g_mean(batch), ref_g_mean(batch))
+            loo = _moments(rng, stat.q, pairs, kinds, (3, 7))
+            _same_bits(stat.g(loo), ref_g(loo))
+            _same_bits(stat.in_domain(loo), ref_in_domain(loo))
