@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
@@ -52,10 +52,8 @@ class BenchResult:
     mse: float
 
     def csv_row(self) -> dict:
-        return {
-            "n": self.n, "K": self.K, "mode": self.mode,
-            "seconds": self.seconds, "mse": self.mse,
-        }
+        # the fields are declared in BENCH_CSV_COLUMNS order
+        return asdict(self)
 
 
 def _draw_with_replacement(

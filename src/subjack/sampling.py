@@ -19,14 +19,16 @@ Randomness scheme (recorded as RNG_ID in every report):
 A draw returns the first n accepted words of its seed's stream, whatever the
 block size used to fetch them, so every index stream is a pure function of
 (seed, N, n) regardless of batching or which worker performs the draw.
-draw_chunk draws a whole chunk of seeds with one block per seed and one pass
-of numpy calls over the blocks; draw_with_replacement is its one-row case.
-The block is sized to the acceptance rate p = N / (mask + 1) by block_width:
-the smallest w with p*w - 2*sqrt(w*p*(1-p)) >= n, floored at 16: enough words
-for n acceptances unless their accepted count falls more than two standard
-deviations below its mean. The few rows that fall short continue from their
-own stream. No output byte depends on the width; only the share of short rows
-does.
+draw_chunk draws a whole chunk of seeds in rounds: each round takes one block
+per remaining seed from the start of its stream and makes one pass of numpy
+calls over the blocks; draw_with_replacement is its one-row case. The first
+block is sized to the acceptance rate p = N / (mask + 1) by block_width: the
+smallest w with p*w - 2*sqrt(w*p*(1-p)) >= n, floored at 16: enough words for
+n acceptances unless their accepted count falls more than two standard
+deviations below its mean. The few rows that fall short are redrawn in the
+next round with blocks twice as wide, through the same numpy calls. No output
+byte depends on the width; only the share of rows redrawn does.
+draw_without_replacement reads its seed's stream one word at a time.
 subsample_seeds derives a chunk's seeds in one pass of uint64 array
 arithmetic; subsample_seed is its one-ordinal case. Subsample k of a run with
 master seed s draws the row of subsample_seed(s, k), so it does not depend on
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -201,44 +203,39 @@ def draw_chunk(seeds, n_rows: int, n: int) -> np.ndarray:
     """Draw n uniform indices on [0, n_rows) per seed, as a (len(seeds), n) array.
 
     Row i holds the first n accepted words of the stream keyed by seeds[i].
-    The seeds are checked once for the chunk. Every row takes one block of
-    block_width(n_rows, n) raw words; the blocks are joined into one buffer,
-    which is masked, bounded and ranked by one numpy call each. A row with
-    fewer than n accepted words continues from its own stream until it has n.
-    The width sets only how many rows continue: no output byte depends on it.
+    The seeds are checked once for the chunk. Each round takes one block of
+    width raw words from the start of every remaining row's stream, joins the
+    blocks into one buffer, and masks, bounds and ranks it by one numpy call
+    each. The first round's width is block_width(n_rows, n); a row with fewer
+    than n accepted words is redrawn in the next round at twice the width.
+    The width sets only how many rows are redrawn: no output byte depends on it.
     """
     n_rows = checked_count(n_rows, "n_rows")
     n = checked_count(n, "n")
     seeds = _checked_seeds(seeds)
-    width = block_width(n_rows, n)
-    bits, state, key = _philox_stream()
-    blocks = []
-    for seed in seeds:
-        key[0] = seed & _MASK64
-        key[1] = seed >> 64
-        bits.state = state
-        blocks.append(bits.random_raw(width))
-    # one copy of all blocks; np.stack of 1-d blocks took 4x as long per row
-    raw = np.concatenate(blocks or [np.empty(0, np.uint64)]).reshape(-1, width)
     mask = _index_mask(n_rows)
     bound = np.uint64(n_rows)
-    raw &= mask
-    accepted = raw < bound
-    # a rank never exceeds width; a narrow dtype makes the cumsum 3x faster
-    rank = np.cumsum(accepted, axis=1, dtype=np.min_scalar_type(width))
-    short = rank[:, -1] < n
+    bits, state, key = _philox_stream()
     out = np.empty((len(seeds), n), dtype=np.int64)
-    out[~short] = raw[accepted & (rank <= n) & ~short[:, None]].reshape(-1, n)
-    for i in np.flatnonzero(short):
-        filled = int(rank[i, -1])
-        out[i, :filled] = raw[i][accepted[i]]
-        bits = _keyed_philox(seeds[i])
-        bits.random_raw(width, output=False)  # skip the block already taken
-        while filled < n:
-            cand = bits.random_raw(max(2 * (n - filled), 16)) & mask
-            good = cand[cand < bound][: n - filled]
-            out[i, filled : filled + good.size] = good
-            filled += good.size
+    rows = np.arange(len(seeds))
+    width = block_width(n_rows, n)
+    while rows.size:
+        blocks = []
+        for seed in map(seeds.__getitem__, rows.tolist()):
+            key[0] = seed & _MASK64
+            key[1] = seed >> 64
+            bits.state = state
+            blocks.append(bits.random_raw(width))
+        # one copy of all blocks; np.stack of 1-d blocks took 4x as long per row
+        raw = np.concatenate(blocks).reshape(-1, width)
+        raw &= mask
+        accepted = raw < bound
+        # a rank never exceeds width; a narrow dtype makes the cumsum 3x faster
+        rank = np.cumsum(accepted, axis=1, dtype=np.min_scalar_type(width))
+        full = rank[:, -1] >= n
+        out[rows[full]] = raw[accepted & (rank <= n) & full[:, None]].reshape(-1, n)
+        rows = rows[~full]
+        width *= 2
     return out
 
 
@@ -273,6 +270,12 @@ class ExclusionSet:
         self._size += 1
 
 
+def _raw_words(bits: np.random.Philox) -> Iterator[int]:
+    """bits' raw 64-bit words in stream order, fetched 4096 at a time."""
+    while True:
+        yield from bits.random_raw(4096).tolist()
+
+
 def draw_without_replacement(
     seed: int, n_rows: int, n: int, already_drawn: ExclusionSet
 ) -> np.ndarray:
@@ -289,23 +292,16 @@ def draw_without_replacement(
         raise ValueError(
             f"insufficient room: {len(already_drawn)} drawn + {n} requested > {n_rows}"
         )
-    bits = _keyed_philox(seed)
     mask = int(_index_mask(n_rows))
     out = np.empty(n, dtype=np.int64)
     filled = 0
-    buffer: list[int] = []
-    pos = 0
-    while filled < n:
-        if pos >= len(buffer):
-            buffer = bits.random_raw(4096).tolist()
-            pos = 0
-        cand = buffer[pos] & mask
-        pos += 1
-        if cand >= n_rows:
-            continue
-        if cand in already_drawn:
+    for word in _raw_words(_keyed_philox(seed)):
+        cand = word & mask
+        if cand >= n_rows or cand in already_drawn:
             continue
         already_drawn.add(cand)
         out[filled] = cand
         filled += 1
+        if filled == n:
+            break
     return out

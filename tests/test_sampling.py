@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from subjack import sampling
 from subjack.sampling import (
     BENCH_SEED_OFFSET,
     REPLICATION_SEED_OFFSET,
@@ -135,6 +136,41 @@ def test_without_replacement_insufficient_room():
         draw_without_replacement(2, 10, 5, drawn)
 
 
+def _fresh_philox_draw_without_replacement(seed, n_rows, n, taken):
+    # the first n masked words of a newly built np.random.Philox(key=seed) that
+    # are below n_rows and not yet taken, read in blocks of another size
+    bits = np.random.Philox(key=seed)
+    mask = (1 << (n_rows - 1).bit_length()) - 1 if n_rows > 1 else 0
+    taken, out = set(taken), []
+    while len(out) < n:
+        for word in bits.random_raw(1000).tolist():
+            cand = word & mask
+            if cand < n_rows and cand not in taken and len(out) < n:
+                taken.add(cand)
+                out.append(cand)
+    return out
+
+
+@pytest.mark.parametrize("first,second", [(0, 1), (7, 2**64), (2**128 - 1, 0)])
+def test_without_replacement_matches_freshly_keyed_philox(first, second):
+    drawn = ExclusionSet()
+    got = draw_without_replacement(first, 1000, 100, drawn)
+    assert got.dtype == np.int64
+    assert got.tolist() == _fresh_philox_draw_without_replacement(first, 1000, 100, [])
+    # into the set the first draw filled: its indices are skipped, not redrawn
+    expected = _fresh_philox_draw_without_replacement(second, 1000, 300, got.tolist())
+    assert draw_without_replacement(second, 1000, 300, drawn).tolist() == expected
+    assert len(drawn) == 400
+
+
+def test_without_replacement_reads_past_its_first_block():
+    # 4500 distinct indices of 5000 at acceptance rate 5000/8192 take far more
+    # than the sampler's first 4096 words
+    drawn = ExclusionSet()
+    got = draw_without_replacement(11, 5000, 4500, drawn)
+    assert got.tolist() == _fresh_philox_draw_without_replacement(11, 5000, 4500, [])
+
+
 def test_birthday_duplicates_with_replacement():
     # nK = 100 draws from N = 100: duplicates essentially certain
     stream = np.concatenate(
@@ -196,7 +232,7 @@ def _first_block_is_short(seed, n_rows, n):
 
 
 # found by search: their first blocks are short at n_rows = 2**20 + 1, for
-# n = 50 and n = 500 respectively, so those rows take the continuation
+# n = 50 and n = 500 respectively, so those rows are redrawn wider
 SHORT_SEEDS = [113, 12]
 
 
@@ -216,6 +252,22 @@ def test_chunk_draw_matches_freshly_keyed_philox(n_rows):
     if n_rows == 2**20 + 1:
         # the SHORT_SEEDS rows need more than their first block
         assert short_rows[50] > 0 and short_rows[500] > 0
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("n_rows", [3, 10**6, 2**20 + 1])
+def test_chunk_draw_over_several_rounds_matches_freshly_keyed_philox(monkeypatch, n_rows, width):
+    # first blocks of 1 or 3 words: at n = 50 a round narrower than 50 words
+    # leaves every row short, so each row is redrawn five times or more
+    monkeypatch.setattr(sampling, "block_width", lambda n_rows, n: width)
+    seeds = REKEY_SEEDS + SHORT_SEEDS
+    for n in (1, 50):
+        got = draw_chunk(seeds, n_rows, n)
+        assert got.dtype == np.int64
+        assert got.shape == (len(seeds), n)
+        for seed, row in zip(seeds, got):
+            np.testing.assert_array_equal(row, _fresh_philox_draw(seed, n_rows, n))
+        assert draw_chunk([], n_rows, n).shape == (0, n)
 
 
 # any n_rows, and the powers of two and their successors, where the
@@ -325,7 +377,7 @@ def test_concurrent_chunk_draws_keep_their_own_streams():
     import sys
     import threading
 
-    # 2**20 + 1 rows make short rows, which re-key mid-chunk; three threads on
+    # 2**20 + 1 rows make short rows, redrawn in a second round; three threads on
     # a short switch interval interleave their re-keys as often as possible.
     # k runs to 180 so that every chunk holds one: its first short rows are
     # k = 87, 173 and 137 under masters 0, 5 and 2**64 - 1.

@@ -7,7 +7,7 @@ The grid covers:
     one converted from a seeded CSV whose columns have nonzero means;
   * three estimates on a generated file of 2**20 + 1 rows, where about half
     the raw words are accepted, so some index rows run short of their first
-    block and take the draw's continuation;
+    block and are redrawn with a block twice as wide;
   * the bytes of every file it generates, and of that CSV converted with
     both transforms: 150,000 rows, over two full 65536-row blocks, with
     repeated integers and padded, whitespace-only and empty cells;
