@@ -13,16 +13,25 @@ Across K subsamples the point estimates are plain averages and
 
     se^2 = (1/K + n/N) * mean_k ss_k.
 
-jackknife_arrays is the one kernel. It computes these for a chunk of
-subsamples, (Kc, n, q), in one pass of numpy calls, with no per-subsample
-loop, and returns theta_hat, theta_jds and ss as float64 arrays: theta_hat is
-one call of the statistic's g_mean over the chunk's in-domain means, and its
-results are exactly the per-subsample ones, byte for byte. The column means mu
-are sum / n, with the rows of each column added in order. For a C-ordered
-chunk with q > 1, einsum does that addition in long inner loops, where
-sum(axis=1) runs loops only q long; the two round the same. For q = 1 the
-rows are the contiguous axis, which sum adds pairwise, so sum is kept there,
-and for any other layout too.
+jackknife_planes is the one kernel. It computes these for a chunk of Kc
+subsamples in one pass of numpy calls, with no per-subsample loop, on moment
+planes: a (q, n, Kc) array whose entry [i, j, c] is feature i of row j of
+subsample c, so each elementwise step reads or writes whole contiguous (n, Kc)
+planes. g and in_domain read the leave-one-out points as the (Kc, n, q)
+transposed view, where each m[..., i] is a plane. theta_hat is one call of
+the statistic's g_mean over the chunk's in-domain means, and the results are
+exactly the per-subsample ones, byte for byte.
+
+Every sum rounds as over the row-major (Kc, n, q) chunk. There, for q > 1,
+the rows of each column are added in order (einsum does that in long inner
+loops, sum(axis=1) in loops only q long; the two round the same), and for
+q = 1 they are the contiguous axis, which sum adds pairwise. On planes,
+add.reduce over the rows adds in order in loops Kc long, except for one
+subsample (Kc = 1), whose rows it would add pairwise; that case, q = 1 and
+planes in any other layout take the row-major sums on a copy. The g values
+are copied to C order, so each subsample's n of them are summed pairwise.
+jackknife_arrays is the kernel on a (Kc, n, q) chunk, with the chunk's own
+means.
 
 run_estimate keeps each chunk's arrays and hands them to summarize, the
 exactly-rounded (fsum) tail that also ends aggregate, so a report is
@@ -94,6 +103,28 @@ def _check_features(stat: Statistic, arr: np.ndarray, ndim: int = 2) -> int:
     return arr.shape[-2]
 
 
+def _row_means(arr: np.ndarray) -> np.ndarray:
+    """The (Kc, q) column means of a (Kc, n, q) chunk, as sum / n.
+
+    sum / n is the arithmetic of mean(), without its Python-level overhead.
+    Where the rows of a column are not the contiguous axis, sum adds them in
+    order, as einsum does in longer inner loops (see the module docstring).
+    """
+    if arr.shape[2] > 1 and arr.flags.c_contiguous:
+        return np.einsum("knq->kq", arr) / arr.shape[1]
+    return arr.sum(axis=1) / arr.shape[1]
+
+
+def _plane_means(planes: np.ndarray) -> np.ndarray:
+    """The (q, Kc) subsample means of (q, n, Kc) planes, rounded as _row_means
+    rounds them on the row-major chunk (see the module docstring).
+    """
+    q, n, kc = planes.shape
+    if q == 1 or kc == 1 or not planes.flags.c_contiguous:
+        return _row_means(np.ascontiguousarray(planes.transpose(2, 1, 0))).T
+    return np.add.reduce(planes, axis=1) / n
+
+
 def jackknife_arrays(stat: Statistic, features, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jackknife the subsamples features[i], ordinals ks[i], with leave-one-out
     downdates over the whole (Kc, n, q) chunk at once.
@@ -103,39 +134,65 @@ def jackknife_arrays(stat: Statistic, features, ks) -> tuple[np.ndarray, np.ndar
     chunk raises the error of its first failing subsample in ks order, checked
     as for one subsample: mean point domain, mean point finite, leave-one-out
     domain, finite results. g only ever sees in-domain points.
+
+    This is jackknife_planes on the chunk's transposed view, given the means
+    _row_means takes on the chunk as laid out. The view's layout cannot say
+    how to round them: one column-major subsample is C-contiguous planes.
     """
     arr = np.asarray(features, dtype=np.float64)
-    n = _check_features(stat, arr, ndim=3)
-    if len(ks) != arr.shape[0]:
-        raise ValueError(f"{len(ks)} ordinals for {arr.shape[0]} subsamples")
+    _check_features(stat, arr, ndim=3)
+    return jackknife_planes(stat, arr.transpose(2, 1, 0), ks, mu=_row_means(arr).T)
 
-    # sum / n is the arithmetic of mean(), without its Python-level overhead.
-    # Where the rows of a column are not the contiguous axis, sum adds them in
-    # order, as einsum does in longer inner loops (see the module docstring).
-    if stat.q > 1 and arr.flags.c_contiguous:
-        mu = np.einsum("knq->kq", arr) / n
-    else:
-        mu = arr.sum(axis=1) / n
-    mean_ok = stat.in_domain(mu)
+
+def jackknife_planes(
+    stat: Statistic,
+    planes,
+    ks,
+    *,
+    mu: np.ndarray | None = None,
+    overwrite_planes: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """jackknife_arrays on moment planes: planes[i, j, c] is feature i of row j
+    of subsample ks[c], a (q, n, Kc) array, C-contiguous as run_estimate
+    builds it. mu, the (q, Kc) subsample means, defaults to _plane_means.
+    With overwrite_planes, a float64 planes array is overwritten with the
+    leave-one-out means instead of allocating theirs.
+    """
+    planes = np.asarray(planes, dtype=np.float64)
+    if planes.ndim != 3 or planes.shape[0] != stat.q:
+        raise ValueError(
+            f"planes must be a ({stat.q}, n, Kc) array for statistic {stat.name!r}, "
+            f"got shape {planes.shape}"
+        )
+    n = planes.shape[1]
+    if n < 2:
+        raise ValueError("jackknife needs n >= 2")
+    if len(ks) != planes.shape[2]:
+        raise ValueError(f"{len(ks)} ordinals for {planes.shape[2]} subsamples")
+    if mu is None:
+        mu = _plane_means(planes)
+    means = mu.T  # (Kc, q), as the statistic reads moments
+    mean_ok = stat.in_domain(means)
     # theta_hat = g at every in-domain mean in one call; g_mean keeps the
     # rounding of g on a single 1-d point (see Statistic.g_mean)
     theta_hat = np.full(len(ks), np.nan)
-    theta_hat[mean_ok] = stat.g_mean(mu[mean_ok])
-    # (n * mu - x_j) / (n - 1) for every row j. n * mu repeated to the chunk's
-    # shape lets the subtraction run in loops over the whole chunk; a broadcast
-    # mu[:, None] runs them only q long. The operations, and bytes, are the same.
-    loo = np.repeat(n * mu, n, axis=0).reshape(arr.shape)
-    loo -= arr
+    theta_hat[mean_ok] = stat.g_mean(means[mean_ok])
+    # (n * mu - x_j) / (n - 1) for every row j, one plane per moment; the
+    # statistic reads it as (Kc, n, q), where each m[..., i] is a whole plane
+    loo = np.subtract((n * mu)[:, None, :], planes, out=planes if overwrite_planes else None)
     loo /= n - 1
+    loo = loo.transpose(2, 1, 0)
     ok = stat.in_domain(loo)
     hat_ok = np.isfinite(theta_hat)
     failing = ~(mean_ok & hat_ok & ok.all(axis=1))
     good = int(failing.argmax()) if failing.any() else len(ks)
 
     theta_hat = theta_hat[:good]
-    theta_loo = np.asarray(stat.g(loo[:good]), dtype=np.float64)
+    # C order, so the row sums below add each subsample's n values pairwise
+    theta_loo = np.ascontiguousarray(stat.g(loo[:good]), dtype=np.float64)
     theta_jds = n * theta_hat - (n - 1) * (theta_loo.sum(axis=1) / n)
-    ss = ((theta_loo - theta_hat[:, None]) ** 2).sum(axis=1)
+    deviations = theta_loo - theta_hat[:, None]
+    ss = np.square(deviations, out=deviations).sum(axis=1)
     # in ks order, a non-finite result before subsample `good` is the first failure
     nonfinite = ~(np.isfinite(theta_jds) & np.isfinite(ss))
     if nonfinite.any():
@@ -144,7 +201,7 @@ def jackknife_arrays(stat: Statistic, features, ks) -> tuple[np.ndarray, np.ndar
             f"in subsample k={ks[int(nonfinite.argmax())]}"
         )
     if good < len(ks):
-        point = f"the subsample mean of subsample k={ks[good]}: moments={mu[good].tolist()}"
+        point = f"the subsample mean of subsample k={ks[good]}: moments={means[good].tolist()}"
         if not mean_ok[good]:
             raise DomainEvalError(f"statistic {stat.name!r} undefined at {point}")
         if not hat_ok[good]:

@@ -5,7 +5,12 @@ consecutive k at a time. draw_chunks yields the chunks: one subsample_seeds
 call derives a chunk's seeds, one draw_chunk call draws the indices of every k
 in it, row k being the stream keyed by subsample_seed(master_seed, k); the
 sampling benchmark draws through it too. Then each chunk's rows are read in
-one gather, mapped by phi, and jackknifed by one jackknife_arrays call.
+one gather, in j-major order (row j of every subsample in the chunk, then row
+j + 1), mapped by the statistic's planes into a C-contiguous (q, n, Kc) array,
+and jackknifed by one jackknife_planes call, which overwrites those planes
+with the leave-one-out means. The subsample means are rounded as over the
+row-major chunk: in order for q > 1, with one subsample's rows added in order
+too, and pairwise for q = 1 (see the estimator module docstring).
 Each chunk's theta_hat, theta_jds and ss arrays are appended in k order
 to three lists of floats, which summarize turns into the report; no object is
 built per subsample. The report does not depend on the chunk size. Kc keeps a
@@ -23,7 +28,7 @@ from .estimator import (
     EstimateReport,
     checked_alpha,
     checked_ci_center,
-    jackknife_arrays,
+    jackknife_planes,
     summarize,
 )
 from .sampling import RNG_ID, checked_count, checked_master_seed, draw_chunk, subsample_seeds
@@ -103,8 +108,10 @@ def run_estimate(
     columns: tuple[list[float], ...] = ([], [], [])
     row_width = max(stat.q, handle.col_count)
     for ks, indices in draw_chunks(handle.row_count, n, K, master_seed, row_width):
-        features = stat.phi(handle.read_records(indices.ravel()).rows)
-        arrays = jackknife_arrays(stat, features.reshape(len(ks), n, stat.q), ks)
+        # j-major: row j of every subsample in the chunk, then row j + 1
+        planes = stat.planes(handle.read_records(indices.T.ravel()).rows)
+        planes = planes.reshape(stat.q, n, len(ks))
+        arrays = jackknife_planes(stat, planes, ks, overwrite_planes=True)
         for column, values in zip(columns, arrays):
             column += values.tolist()
     return summarize(

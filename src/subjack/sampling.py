@@ -216,7 +216,7 @@ def draw_chunk(seeds, n_rows: int, n: int) -> np.ndarray:
     mask = _index_mask(n_rows)
     bound = np.uint64(n_rows)
     bits, state, key = _philox_stream()
-    out = np.empty((len(seeds), n), dtype=np.int64)
+    out = np.empty((0, n), dtype=np.int64)
     rows = np.arange(len(seeds))
     width = block_width(n_rows, n)
     while rows.size:
@@ -233,7 +233,13 @@ def draw_chunk(seeds, n_rows: int, n: int) -> np.ndarray:
         # a rank never exceeds width; a narrow dtype makes the cumsum 3x faster
         rank = np.cumsum(accepted, axis=1, dtype=np.min_scalar_type(width))
         full = rank[:, -1] >= n
-        out[rows[full]] = raw[accepted & (rank <= n) & full[:, None]].reshape(-1, n)
+        selected = raw[accepted & (rank <= n) & full[:, None]].reshape(-1, n)
+        if not out.size:
+            # allocated after the first round's buffers, so that freeing them
+            # does not leave the top of the heap free for glibc to trim, which
+            # a caller that keeps each output alive would fault back in
+            out = np.empty((len(seeds), n), dtype=np.int64)
+        out[rows[full]] = selected
         rows = rows[~full]
         width *= 2
     return out

@@ -2,10 +2,13 @@
 
 Every statistic is the pair (phi, g): phi turns an (m, p) batch of rows into
 an (m, q) feature matrix whose column means feed g, and g maps moment vectors
-to the scalar of interest. g and its domain predicate broadcast over any
-leading axes, with moments on the last axis. g_mean is g as the jackknife
-applies it to a batch of subsample means (see Statistic.g_mean). Each formula
-is written once, and a domain predicate computes only the quantity it tests.
+to the scalar of interest. planes is the same feature map laid out moment
+by moment, as a C-contiguous (q, m) array, which is what the pipeline reads; a
+statistic gives one of the two and the other is its transposed copy. g and
+its domain predicate broadcast over any leading axes, with moments on the
+last axis. g_mean is g as the jackknife applies it to a batch of subsample
+means (see Statistic.g_mean). Each formula is written once, and a domain
+predicate computes only the quantity it tests.
 """
 from __future__ import annotations
 
@@ -21,7 +24,8 @@ class Statistic:
     name: str
     q: int
     columns: tuple[int, ...]
-    phi: Callable[[np.ndarray], np.ndarray]
+    # the (m, q) feature map; None derives it from planes
+    phi: Callable[[np.ndarray], np.ndarray] | None
     g: Callable[[np.ndarray], np.ndarray]
     in_domain: Callable[[np.ndarray], np.ndarray]
     # g over an (m, q) batch of subsample means, rounding each row exactly as g
@@ -32,6 +36,9 @@ class Statistic:
     # stat_kurtosis). If g is rewritten with IEEE basic operations only (v * v),
     # the two paths agree by construction and this field can go.
     g_mean: Callable[[np.ndarray], np.ndarray] | None = None
+    # the feature map as a C-contiguous (q, m) array, feature i in row i;
+    # None derives it from phi
+    planes: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         for col in self.columns:
@@ -39,12 +46,26 @@ class Statistic:
                 raise ValueError(f"statistic {self.name!r} has negative column {col}")
         if self.g_mean is None:
             object.__setattr__(self, "g_mean", self.g)
+        if self.phi is None and self.planes is None:
+            raise ValueError(f"statistic {self.name!r} needs phi or planes")
+        # each derived map is a C-contiguous copy, never a transposed view
+        if self.planes is None:
+            object.__setattr__(self, "planes", _transposed(self.phi))
+        if self.phi is None:
+            object.__setattr__(self, "phi", _transposed(self.planes))
 
     def validate_columns(self, col_count: int) -> None:
         for col in self.columns:
             if col >= col_count:
                 raise ValueError(f"statistic {self.name!r} needs column {col}, "
                                  f"dataset has {col_count}")
+
+
+def _transposed(feature_map):
+    def transposed(rows):
+        return np.ascontiguousarray(feature_map(rows).T, dtype=np.float64)
+
+    return transposed
 
 
 def _always(m: np.ndarray) -> np.ndarray:
@@ -59,16 +80,16 @@ def _var_positive(m: np.ndarray) -> np.ndarray:
     return _var(m) > 0
 
 
-def _phi_powers(col: int, top: int):
-    def phi(rows):
+def _planes_powers(col: int, top: int):
+    def planes(rows):
         x = rows[:, col]
-        out = np.empty((rows.shape[0], top), dtype=np.float64)
-        out[:, 0] = x
+        out = np.empty((top, rows.shape[0]), dtype=np.float64)
+        out[0] = x
         for j in range(1, top):
-            out[:, j] = out[:, j - 1] * x
+            out[j] = out[j - 1] * x
         return out
 
-    return phi
+    return planes
 
 
 def stat_mean(col: int = 0) -> Statistic:
@@ -77,12 +98,13 @@ def stat_mean(col: int = 0) -> Statistic:
     def g(m):
         return m[..., 0]
 
-    return Statistic(f"mean:{col}", 1, (col,), _phi_powers(col, 1), g, _always)
+    return Statistic(f"mean:{col}", 1, (col,), None, g, _always, planes=_planes_powers(col, 1))
 
 
 def stat_variance(col: int = 0) -> Statistic:
     """Population-style variance m2 - m1^2 of one column."""
-    return Statistic(f"var:{col}", 2, (col,), _phi_powers(col, 2), _var, _always)
+    return Statistic(f"var:{col}", 2, (col,), None, _var, _always,
+                     planes=_planes_powers(col, 2))
 
 
 def stat_sd(col: int = 0) -> Statistic:
@@ -91,7 +113,8 @@ def stat_sd(col: int = 0) -> Statistic:
     def g(m):
         return np.sqrt(_var(m))
 
-    return Statistic(f"sd:{col}", 2, (col,), _phi_powers(col, 2), g, _var_positive)
+    return Statistic(f"sd:{col}", 2, (col,), None, g, _var_positive,
+                     planes=_planes_powers(col, 2))
 
 
 def stat_kurtosis(col: int = 0) -> Statistic:
@@ -109,8 +132,8 @@ def stat_kurtosis(col: int = 0) -> Statistic:
         # unlike a Python float's **, it overflows to inf instead of raising
         return _mu4(m) / np.array([v**2 for v in _var(m)])
 
-    return Statistic(f"kurt:{col}", 4, (col,), _phi_powers(col, 4), g, _var_positive,
-                     g_mean=g_mean)
+    return Statistic(f"kurt:{col}", 4, (col,), None, g, _var_positive, g_mean=g_mean,
+                     planes=_planes_powers(col, 4))
 
 
 def stat_correlation(col_a: int, col_b: int) -> Statistic:
@@ -118,14 +141,14 @@ def stat_correlation(col_a: int, col_b: int) -> Statistic:
     if col_a == col_b:
         raise ValueError("columns must differ")
 
-    def phi(rows):
+    def planes(rows):
         xa, xb = rows[:, col_a], rows[:, col_b]
-        out = np.empty((rows.shape[0], 5), dtype=np.float64)
-        out[:, 0] = xa
-        out[:, 1] = xb
-        out[:, 2] = xa * xa
-        out[:, 3] = xb * xb
-        out[:, 4] = xa * xb
+        out = np.empty((5, rows.shape[0]), dtype=np.float64)
+        out[0] = xa
+        out[1] = xb
+        np.multiply(xa, xa, out=out[2])
+        np.multiply(xb, xb, out=out[3])
+        np.multiply(xa, xb, out=out[4])
         return out
 
     def g(m):
@@ -134,7 +157,8 @@ def stat_correlation(col_a: int, col_b: int) -> Statistic:
     def in_domain(m):
         return (_var(m, 0, 2) > 0) & (_var(m, 1, 3) > 0)
 
-    return Statistic(f"corr:{col_a},{col_b}", 5, (col_a, col_b), phi, g, in_domain)
+    return Statistic(f"corr:{col_a},{col_b}", 5, (col_a, col_b), None, g, in_domain,
+                     planes=planes)
 
 
 _REGISTRY: dict[str, tuple[Callable[..., Statistic], int]] = {

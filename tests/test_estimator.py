@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jackknife_oracle import jackknife_subsample_naive
 
@@ -14,6 +14,7 @@ from subjack.estimator import (
     confidence_interval,
     jackknife_arrays,
     jackknife_chunk,
+    jackknife_planes,
     jackknife_subsample,
     normal_quantile,
 )
@@ -269,6 +270,56 @@ def test_kernel_leave_one_out_means_are_the_downdate_bit_for_bit(q, kc, n, cente
         mu = means.pop()
         expected = (n * mu[:, None] - features) / (n - 1)
         assert _hex(loos.pop().ravel()) == _hex(expected.ravel())
+
+
+def _bits(array):
+    # the bytes of each double in logical order: equal exactly when every
+    # pair of doubles is, -0.0 against 0.0 and each NaN payload included
+    return np.ascontiguousarray(array, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    q=st.sampled_from([1, 2, 4, 5]),
+    kc=st.integers(1, 300),
+    n=st.integers(2, 400),
+    center=st.sampled_from([0.0, 3.0, 100.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# one subsample, whose rows add.reduce would add pairwise, and q = 1
+@example(q=5, kc=1, n=100, center=3.0, seed=1)
+@example(q=1, kc=40, n=100, center=3.0, seed=2)
+def test_kernel_on_moment_planes_matches_the_row_major_chunk_bit_for_bit(q, kc, n, center,
+                                                                       seed):
+    # C-contiguous (q, n, Kc) planes, as run_estimate builds them, against
+    # the same values as a row-major (Kc, n, q) chunk
+    stat, means, loos = _recorder(q)
+    arr, _ = _heavy_tailed_chunks(kc, n, q, center, seed)
+    ks = range(1, kc + 1)
+    planes = np.ascontiguousarray(arr.transpose(2, 1, 0))
+    kept = arr.copy()
+    got = jackknife_planes(stat, planes, ks)
+    expected = jackknife_arrays(stat, arr, ks)
+    assert [_bits(a) for a in got] == [_bits(a) for a in expected]
+    assert _bits(means[0]) == _bits(means[1])
+    assert _bits(loos[0]) == _bits(loos[1])
+    # only overwrite_planes writes to the caller's array, and then the
+    # leave-one-out means
+    assert _bits(planes) == _bits(kept.transpose(2, 1, 0))
+    assert _bits(arr) == _bits(kept)
+    overwritten = jackknife_planes(stat, planes, ks, overwrite_planes=True)
+    assert [_bits(a) for a in overwritten] == [_bits(a) for a in expected]
+    assert _bits(planes.transpose(2, 1, 0)) == _bits(loos[1])
+
+
+def test_planes_kernel_checks_shape_and_ordinals():
+    stat = stat_variance(0)
+    with pytest.raises(ValueError, match=r"planes must be a \(2, n, Kc\) array"):
+        jackknife_planes(stat, np.ones((4, 2, 3)), [1, 2, 3])
+    with pytest.raises(ValueError, match="n >= 2"):
+        jackknife_planes(stat, np.ones((2, 1, 3)), [1, 2, 3])
+    with pytest.raises(ValueError, match="2 ordinals for 3 subsamples"):
+        jackknife_planes(stat, np.ones((2, 4, 3)), [1, 2])
 
 
 def test_kernel_returns_float64_arrays_equal_to_chunk_results():

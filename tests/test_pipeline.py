@@ -4,11 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from subjack.estimator import DomainEvalError, aggregate, jackknife_chunk
-from subjack.pipeline import CHUNK_BYTES, run_estimate
+from subjack.estimator import (
+    DomainEvalError,
+    aggregate,
+    jackknife_arrays,
+    jackknife_chunk,
+    summarize,
+)
+from subjack.pipeline import CHUNK_BYTES, draw_chunks, run_estimate
 from subjack.sampling import RNG_ID, draw_with_replacement, subsample_seed
 from subjack.simulate import generate_bivariate_normal
-from subjack.stats import parse_statistic
+from subjack.stats import Statistic, parse_statistic
 from subjack.store import open_dataset, write_matrix
 
 PAPER_SIGMA = [[25.0, 10.0], [10.0, 5.0]]
@@ -251,3 +257,44 @@ def test_chunk_boundaries_never_change_results(sigma_dataset, splits):
     report = aggregate(results, handle.row_count, master_seed=seed, statistic_name=stat.name,
                        rng_id=RNG_ID)
     assert report == run_estimate(handle, stat, n, K, seed)
+
+
+def _row_major_report(handle, stat, n, K, seed):
+    # the row-major chunk path: rows read in k order, phi's (K, n, q) features,
+    # jackknife_arrays over them, then summarize
+    row_width = max(stat.q, handle.col_count)
+    indices = np.concatenate([idx for _, idx in draw_chunks(handle.row_count, n, K, seed,
+                                                            row_width)])
+    features = stat.phi(handle.read_records(indices.ravel()).rows).reshape(K, n, stat.q)
+    arrays = jackknife_arrays(stat, features, range(1, K + 1))
+    return summarize(*(a.tolist() for a in arrays), n, handle.row_count, master_seed=seed,
+                     statistic_name=stat.name, rng_id=RNG_ID)
+
+
+# K = 1 (mod Kc), so the last chunk holds one subsample, whose rows add.reduce
+# would add pairwise; each seed is one where that rounds differently. mean
+# (q = 1) is summed pairwise on the row-major path, whatever Kc.
+@pytest.mark.parametrize("spec,n,K,seed", [
+    ("corr:0,1", 500, 53, 0),
+    ("kurt:0", 50, 656, 11),
+    ("var:0", 500, 263, 0),
+    ("mean:0", 500, 200, 0),
+])
+def test_planes_report_matches_the_row_major_chunk_path(sigma_dataset, spec, n, K, seed):
+    stat, handle = parse_statistic(spec), open_dataset(sigma_dataset)
+    chunk = CHUNK_BYTES // (8 * n * max(stat.q, handle.col_count))
+    assert stat.q == 1 or K % chunk == 1
+    expected = _row_major_report(handle, stat, n, K, seed)
+    assert run_estimate(handle, stat, n, K, seed) == expected
+
+
+@pytest.mark.parametrize("spec", ["corr:0,1", "kurt:0"])
+def test_statistic_without_planes_gives_the_same_report(sigma_dataset, spec):
+    # a library Statistic with the built-in's phi, g and in_domain: its planes
+    # are its phi transposed
+    builtin = parse_statistic(spec)
+    library = Statistic(builtin.name, builtin.q, builtin.columns, builtin.phi, builtin.g,
+                        builtin.in_domain, g_mean=builtin.g_mean)
+    for n, K in [(50, 1000), (500, 53), (7, 333)]:
+        assert (run_estimate(sigma_dataset, library, n, K, 42).to_json()
+                == run_estimate(sigma_dataset, builtin, n, K, 42).to_json())

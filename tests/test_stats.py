@@ -324,3 +324,43 @@ def test_builtin_formulas_match_reference_bit_for_bit(stat, ref, pairs):
             loo = _moments(rng, stat.q, pairs, kinds, (3, 7))
             _same_bits(stat.g(loo), ref_g(loo))
             _same_bits(stat.in_domain(loo), ref_in_domain(loo))
+
+
+@pytest.mark.parametrize("stat", [stat for stat, _, _ in _PINNED],
+                         ids=[stat.name for stat, _, _ in _PINNED])
+def test_planes_are_phi_transposed_bit_for_bit(stat):
+    rows = np.random.default_rng(7).normal(1.5, 2.0, size=(64, 3))
+    for batch in (rows, np.asfortranarray(rows), rows[::3]):
+        planes, phi = stat.planes(batch), stat.phi(batch)
+        assert planes.flags.c_contiguous and phi.flags.c_contiguous
+        _same_bits(planes, phi.T)
+
+
+def test_statistic_derives_the_map_it_is_not_given():
+    def first(m):
+        return m[..., 0]
+
+    from_phi = Statistic("custom", 2, (0,), lambda rows: rows[:, :2] * 2, first, first)
+    from_planes = Statistic("custom", 2, (0,), None, first, first,
+                            planes=lambda rows: rows[:, :2].T * 2)
+    rows = np.random.default_rng(3).normal(size=(9, 3))
+    assert from_phi.planes(rows).flags.c_contiguous
+    assert from_planes.phi(rows).flags.c_contiguous
+    for stat in (from_phi, from_planes):
+        _same_bits(stat.phi(rows), rows[:, :2] * 2)
+        _same_bits(stat.planes(rows), (rows[:, :2] * 2).T)
+    with pytest.raises(ValueError, match="statistic 'custom' needs phi or planes"):
+        Statistic("custom", 1, (0,), None, first, first)
+
+
+@pytest.mark.parametrize("stat, ref, pairs", _PINNED, ids=[stat.name for stat, _, _ in _PINNED])
+def test_formulas_on_moment_planes_match_reference_bit_for_bit(stat, ref, pairs):
+    # the kernel hands g and in_domain a (Kc, n, q) view of (q, n, Kc) planes
+    _, ref_g, ref_in_domain, _ = ref
+    rng = np.random.default_rng(99)
+    with np.errstate(all="ignore"):
+        for kinds in itertools.product(_VARIANCE_KINDS, repeat=len(pairs)):
+            m = _moments(rng, stat.q, pairs, kinds, (37, 41))
+            view = np.ascontiguousarray(m.transpose(2, 1, 0)).transpose(2, 1, 0)
+            _same_bits(stat.g(view), ref_g(m))
+            _same_bits(stat.in_domain(view), ref_in_domain(m))

@@ -8,6 +8,9 @@ The grid covers:
   * three estimates on a generated file of 2**20 + 1 rows, where about half
     the raw words are accepted, so some index rows run short of their first
     block and are redrawn with a block twice as wide;
+  * corr at n=500, K=53 on the generated normal file, for each master seed:
+    K is 1 more than a multiple of the chunk size, so the last chunk holds
+    one subsample;
   * the bytes of every file it generates, and of that CSV converted with
     both transforms: 150,000 rows, over two full 65536-row blocks, with
     repeated integers and padded, whitespace-only and empty cells;
@@ -135,6 +138,9 @@ def census() -> tuple[int, str]:
         for stat, n, K in [("corr:0,1", 50, 1000), ("corr:0,1", 500, 200), ("kurt:0", 500, 200)]:
             add(f"estimate {pow2plus1.name} {stat} n={n} K={K} seed=11 jds",
                 estimate_text(pow2plus1, stat, n, K, 11, "jds"))
+        for seed in MASTER_SEEDS:
+            add(f"estimate {generated.name} corr:0,1 n=500 K=53 seed={seed} jds",
+                estimate_text(generated, "corr:0,1", 500, 53, seed, "jds"))
         add("simulate", simulate_bytes(workdir))
         for result in bench_sampling(100_000, [(50, 40), (10, 100)], 5, repeats=2,
                                      data_path=generated):
