@@ -22,16 +22,14 @@ transposed view, where each m[..., i] is a plane. theta_hat is one call of
 the statistic's g_mean over the chunk's in-domain means, and the results are
 exactly the per-subsample ones, byte for byte.
 
-Every sum rounds as over the row-major (Kc, n, q) chunk. There, for q > 1,
-the rows of each column are added in order (einsum does that in long inner
-loops, sum(axis=1) in loops only q long; the two round the same), and for
-q = 1 they are the contiguous axis, which sum adds pairwise. On planes,
-add.reduce over the rows adds in order in loops Kc long, except for one
-subsample (Kc = 1), whose rows it would add pairwise; that case, q = 1 and
-planes in any other layout take the row-major sums on a copy. The g values
-are copied to C order, so each subsample's n of them are summed pairwise.
-jackknife_arrays is the kernel on a (Kc, n, q) chunk, with the chunk's own
-means.
+Every sum rounds as over the row-major (Kc, n, q) chunk, where sum(axis=1)
+adds the rows of each column in order for q > 1, and for q = 1, where they are
+the contiguous axis, pairwise. On planes, add.reduce over the rows adds in
+order in loops Kc long, except for one subsample (Kc = 1), whose rows it would
+add pairwise; that case, q = 1 and planes in any other layout take the
+row-major sums on a copy. The g values are copied to C order, so each
+subsample's n of them are summed pairwise. jackknife_arrays is the kernel on a
+(Kc, n, q) chunk, with the chunk's own means.
 
 run_estimate keeps each chunk's arrays and hands them to summarize, the
 exactly-rounded (fsum) tail that also ends aggregate, so a report is
@@ -103,25 +101,14 @@ def _check_features(stat: Statistic, arr: np.ndarray, ndim: int = 2) -> int:
     return arr.shape[-2]
 
 
-def _row_means(arr: np.ndarray) -> np.ndarray:
-    """The (Kc, q) column means of a (Kc, n, q) chunk, as sum / n.
-
-    sum / n is the arithmetic of mean(), without its Python-level overhead.
-    Where the rows of a column are not the contiguous axis, sum adds them in
-    order, as einsum does in longer inner loops (see the module docstring).
-    """
-    if arr.shape[2] > 1 and arr.flags.c_contiguous:
-        return np.einsum("knq->kq", arr) / arr.shape[1]
-    return arr.sum(axis=1) / arr.shape[1]
-
-
 def _plane_means(planes: np.ndarray) -> np.ndarray:
-    """The (q, Kc) subsample means of (q, n, Kc) planes, rounded as _row_means
-    rounds them on the row-major chunk (see the module docstring).
+    """The (q, Kc) subsample means of (q, n, Kc) planes, as sum / n, rounded
+    as sum(axis=1) rounds them on the row-major chunk (see the module
+    docstring).
     """
     q, n, kc = planes.shape
     if q == 1 or kc == 1 or not planes.flags.c_contiguous:
-        return _row_means(np.ascontiguousarray(planes.transpose(2, 1, 0))).T
+        return (np.ascontiguousarray(planes.transpose(2, 1, 0)).sum(axis=1) / n).T
     return np.add.reduce(planes, axis=1) / n
 
 
@@ -136,12 +123,12 @@ def jackknife_arrays(stat: Statistic, features, ks) -> tuple[np.ndarray, np.ndar
     domain, finite results. g only ever sees in-domain points.
 
     This is jackknife_planes on the chunk's transposed view, given the means
-    _row_means takes on the chunk as laid out. The view's layout cannot say
-    how to round them: one column-major subsample is C-contiguous planes.
+    sum(axis=1) / n takes on the chunk as laid out. The view's layout cannot
+    say how to round them: one column-major subsample is C-contiguous planes.
     """
     arr = np.asarray(features, dtype=np.float64)
-    _check_features(stat, arr, ndim=3)
-    return jackknife_planes(stat, arr.transpose(2, 1, 0), ks, mu=_row_means(arr).T)
+    n = _check_features(stat, arr, ndim=3)
+    return jackknife_planes(stat, arr.transpose(2, 1, 0), ks, mu=(arr.sum(axis=1) / n).T)
 
 
 def jackknife_planes(

@@ -16,6 +16,10 @@ Other versions and dtype codes are rejected on open. write_blocks, the only
 writer, renames a finished temp file onto its target, so a failed write leaves
 the target as it was.
 
+open_dataset maps the file itself, read-only, and advises random access where
+the platform has madvise: each subsample reads n scattered rows, and readahead
+on every page not yet cached would multiply that.
+
 Reads and ingestion work in bulk. read_records checks its indices, then
 gathers every requested row with one bounds-checked ``take`` on the mapped
 array. convert_csv reads CSV rows a block at a time into per-column cell lists
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import math
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -69,10 +74,9 @@ class DatasetHeader:
 
 @dataclass(frozen=True)
 class RecordBatch:
-    """Rows pulled from a dataset, paired with where they came from."""
+    """Rows pulled from a dataset."""
 
-    rows: np.ndarray            # (n, p) float64
-    source_indices: np.ndarray  # (n,) int64
+    rows: np.ndarray  # (n, p) float64
 
 
 class DatasetHandle:
@@ -99,8 +103,7 @@ class DatasetHandle:
         if idx.min() < 0 or idx.max() >= self.row_count:
             bad = idx[(idx < 0) | (idx >= self.row_count)][0]
             raise IndexError(f"row index {bad} out of range [0, {self.row_count})")
-        rows = np.asarray(np.asarray(self._rows).take(idx, axis=0), dtype=np.float64)
-        return RecordBatch(rows=rows, source_indices=idx)
+        return RecordBatch(np.asarray(self._rows.take(idx, axis=0), dtype=np.float64))
 
 
 def read_header(path: str | Path) -> DatasetHeader:
@@ -130,11 +133,17 @@ def read_header(path: str | Path) -> DatasetHeader:
 
 
 def open_dataset(path: str | Path) -> DatasetHandle:
-    """Validate header and file length, then map the rows for random access."""
+    """Validate header and file length, then map the rows for random access.
+
+    The handle's rows keep the mapping alive; it is unmapped with the handle.
+    """
     header = read_header(path)
+    with open(path, "rb") as fh:
+        mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    if hasattr(mmap, "MADV_RANDOM"):
+        mapping.madvise(mmap.MADV_RANDOM)
     shape = (header.row_count, header.col_count)
-    rows = np.memmap(path, dtype=_ROW_DTYPE, mode="r", offset=HEADER_SIZE, shape=shape)
-    return DatasetHandle(rows)
+    return DatasetHandle(np.ndarray(shape, _ROW_DTYPE, buffer=mapping, offset=HEADER_SIZE))
 
 
 def write_blocks(path: str | Path, col_count: int, blocks) -> DatasetHeader:

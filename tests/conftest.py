@@ -1,7 +1,10 @@
+import os
+import struct
+
 import numpy as np
 import pytest
 
-from subjack.store import write_matrix, open_dataset
+from subjack.store import HEADER_SIZE, DatasetHeader, write_matrix, open_dataset
 
 
 @pytest.fixture
@@ -12,3 +15,32 @@ def small_dataset(tmp_path):
     path = tmp_path / "small.sjds"
     write_matrix(matrix, path)
     return open_dataset(path), matrix
+
+
+@pytest.fixture
+def huge_sparse_dataset(tmp_path):
+    """A one-column dataset of 2**32 + 5 zero rows, made as a hole: 32 GiB in
+    size, a few KiB on disk. Rows past 2**32 sit past byte 2**35.
+
+    Returns (path, put), where put(rows, values) writes each value at its row.
+    """
+    n_rows = 2**32 + 5
+    path = tmp_path / "huge.sjds"
+    with open(path, "wb") as fh:
+        fh.write(DatasetHeader(row_count=n_rows, col_count=1).pack())
+        try:
+            fh.truncate(HEADER_SIZE + 8 * n_rows)
+        except OSError as exc:
+            pytest.skip(f"cannot make a 32 GiB file here: {exc}")
+    info = os.stat(path)
+    if getattr(info, "st_blocks", None) is None or info.st_blocks * 512 >= info.st_size:
+        path.unlink()
+        pytest.skip("the temp directory's file system left no hole after truncate")
+
+    def put(rows, values):
+        with open(path, "r+b") as fh:
+            for row, value in zip(rows, values):
+                fh.seek(HEADER_SIZE + 8 * int(row))
+                fh.write(struct.pack("<d", value))
+
+    return path, put

@@ -15,7 +15,7 @@ from subjack.pipeline import CHUNK_BYTES, draw_chunks, run_estimate
 from subjack.sampling import RNG_ID, draw_with_replacement, subsample_seed
 from subjack.simulate import generate_bivariate_normal
 from subjack.stats import Statistic, parse_statistic
-from subjack.store import open_dataset, write_matrix
+from subjack.store import open_dataset, read_header, write_matrix
 
 PAPER_SIGMA = [[25.0, 10.0], [10.0, 5.0]]
 
@@ -298,3 +298,19 @@ def test_statistic_without_planes_gives_the_same_report(sigma_dataset, spec):
     for n, K in [(50, 1000), (500, 53), (7, 333)]:
         assert (run_estimate(sigma_dataset, library, n, K, 42).to_json()
                 == run_estimate(sigma_dataset, builtin, n, K, 42).to_json())
+
+
+def test_estimate_past_2_to_the_32_rows_matches_the_chunk_path(huge_sparse_dataset):
+    # f(i) = i % 1009 at exactly the rows the run draws; every other row is a hole
+    path, put = huge_sparse_dataset
+    stat, n, K, seed = parse_statistic("var:0"), 50, 20, 1
+    n_rows = read_header(path).row_count
+    indices = np.concatenate([idx for _, idx in draw_chunks(n_rows, n, K, seed, stat.q)])
+    assert indices.max() >= 2**31
+    values = (indices % 1009).astype(np.float64)
+    put(indices.ravel(), values.ravel())
+    features = stat.phi(values.reshape(-1, 1)).reshape(K, n, stat.q)
+    arrays = jackknife_arrays(stat, features, range(1, K + 1))
+    expected = summarize(*(a.tolist() for a in arrays), n, n_rows, master_seed=seed,
+                         statistic_name=stat.name, rng_id=RNG_ID)
+    assert run_estimate(path, stat, n, K, seed) == expected

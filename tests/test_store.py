@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import struct
 
 import numpy as np
@@ -67,7 +68,6 @@ def test_shuffled_read_matches_permuted_matrix(small_dataset):
     perm = np.random.default_rng(5).permutation(handle.row_count)
     batch = handle.read_records(perm)
     np.testing.assert_array_equal(batch.rows, matrix[perm])
-    np.testing.assert_array_equal(batch.source_indices, perm)
 
 
 def test_reads_are_pure(small_dataset):
@@ -119,7 +119,6 @@ def test_gather_equals_memmap_fancy_indexing(tmp_path_factory, n_rows, n_cols, s
     assert batch.rows.dtype == np.float64 and batch.rows.flags.c_contiguous
     assert batch.rows.shape == expected.shape
     assert batch.rows.tobytes() == expected.tobytes() == matrix[idx].tobytes()
-    np.testing.assert_array_equal(batch.source_indices, idx)
 
 
 @pytest.mark.parametrize("indices, error, text", [
@@ -136,6 +135,39 @@ def test_read_records_error_texts(small_dataset, indices, error, text):
         handle.read_records(indices)
     assert type(info.value) is error
     assert str(info.value) == text
+
+
+def test_rows_past_2_to_the_32_read_back_bit_for_bit(huge_sparse_dataset):
+    path, put = huge_sparse_dataset
+    handle = open_dataset(path)
+    n_rows = handle.row_count
+    assert n_rows == 2**32 + 5
+    rows = [0, 2**31, 2**32, n_rows - 1]
+    values = [1.5, -5e-324, 3.0e300, math.pi]
+    put(rows, values)
+    got = handle.read_records(rows[::-1] + [1, 2**32 + 1]).rows
+    assert got.tobytes() == np.array(values[::-1] + [0.0, 0.0]).reshape(-1, 1).tobytes()
+    with pytest.raises(IndexError) as info:
+        handle.read_records([0, n_rows])
+    assert str(info.value) == f"row index {n_rows} out of range [0, {n_rows})"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"),
+                    reason="reads the mapping's VmFlags from Linux's /proc/self/smaps")
+def test_dataset_mapping_advises_random_access(tmp_path):
+    path = _valid_file(tmp_path)
+    handle = open_dataset(path)
+    target = str(path.resolve())
+    flags, in_target = [], False
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            if re.match(r"[0-9a-f]+-[0-9a-f]+ ", line):  # a mapping's first line
+                in_target = line.split(maxsplit=5)[5:] == [target + "\n"]
+            elif in_target and line.startswith("VmFlags:"):
+                flags.append(line.split()[1:])
+    assert handle.row_count == 100  # the handle, and so its mapping, is still alive
+    assert len(flags) == 1
+    assert "rr" in flags[0]  # VM_RAND_READ: madvise(MADV_RANDOM), no readahead
 
 
 def _valid_file(tmp_path):
