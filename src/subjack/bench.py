@@ -114,6 +114,7 @@ def bench_sampling(
 
     The dataset holds iid standard bivariate normal rows, so the sample mean
     of all drawn rows estimates zero and its squared error is the MSE column.
+    A dataset at data_path must have n_rows rows.
     """
     seed = checked_master_seed(seed)
     repeats = checked_count(repeats, "repeats")
@@ -124,6 +125,8 @@ def bench_sampling(
         with temp_dataset(subsample_seed(seed, 1), n_rows, np.eye(2)) as path:
             return bench_sampling(n_rows, grid, seed, repeats=repeats, data_path=path)
     handle = open_dataset(data_path)
+    if handle.row_count != n_rows:
+        raise ValueError(f"n_rows is {n_rows}, but {data_path} has {handle.row_count} rows")
     for n, K in grid:
         if n * K > handle.row_count:
             raise ValueError(

@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=0, help="0 = auto")
 
     p = sub.add_parser("bench-sampling", help="time both sampling modes on a grid")
-    p.add_argument("--rows", type=int, required=True, help="dataset row count")
+    p.add_argument("--rows", type=int, required=True, help="dataset row count, --data's if given")
     p.add_argument("--n", type=_int_list, required=True, help="subsample sizes, comma-separated")
     p.add_argument("--k", type=_int_list, required=True, help="subsample counts, comma-separated")
     p.add_argument("--seed", type=int, required=True)

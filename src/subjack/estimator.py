@@ -128,7 +128,9 @@ def jackknife_arrays(stat: Statistic, features, ks) -> tuple[np.ndarray, np.ndar
     """
     arr = np.asarray(features, dtype=np.float64)
     n = _check_features(stat, arr, ndim=3)
-    return jackknife_planes(stat, arr.transpose(2, 1, 0), ks, mu=(arr.sum(axis=1) / n).T)
+    # a copy with the view's strides, on which the rounding of g can depend
+    planes = arr.transpose(2, 1, 0).copy(order="K")
+    return jackknife_planes(stat, planes, ks, mu=(arr.sum(axis=1) / n).T)
 
 
 def jackknife_planes(
@@ -137,13 +139,12 @@ def jackknife_planes(
     ks,
     *,
     mu: np.ndarray | None = None,
-    overwrite_planes: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """jackknife_arrays on moment planes: planes[i, j, c] is feature i of row j
     of subsample ks[c], a (q, n, Kc) array, C-contiguous as run_estimate
     builds it. mu, the (q, Kc) subsample means, defaults to _plane_means.
-    With overwrite_planes, a float64 planes array is overwritten with the
-    leave-one-out means instead of allocating theirs.
+    The leave-one-out means are written over the planes, so a float64 planes
+    array passed in is overwritten.
     """
     planes = np.asarray(planes, dtype=np.float64)
     if planes.ndim != 3 or planes.shape[0] != stat.q:
@@ -166,7 +167,7 @@ def jackknife_planes(
     theta_hat[mean_ok] = stat.g_mean(means[mean_ok])
     # (n * mu - x_j) / (n - 1) for every row j, one plane per moment; the
     # statistic reads it as (Kc, n, q), where each m[..., i] is a whole plane
-    loo = np.subtract((n * mu)[:, None, :], planes, out=planes if overwrite_planes else None)
+    loo = np.subtract((n * mu)[:, None, :], planes, out=planes)
     loo /= n - 1
     loo = loo.transpose(2, 1, 0)
     ok = stat.in_domain(loo)

@@ -33,7 +33,7 @@ from .estimator import (
 )
 from .sampling import RNG_ID, checked_count, checked_master_seed, draw_chunk, subsample_seeds
 from .stats import Statistic, parse_statistic
-from .store import DatasetHandle, DatasetHeader, open_dataset, read_header
+from .store import DatasetHandle, DatasetHeader, open_dataset
 
 CHUNK_BYTES = 2**20
 
@@ -51,8 +51,8 @@ def check_run(
     The one check of a run's arguments: run_estimate calls it before drawing,
     and ExperimentConfig when it is built. A spec is parsed into a Statistic;
     n, K and the master seed come back as ints. The statistic's columns are
-    checked last, against a handle or header, or against the header read from
-    a path only then, so every other bad argument fails without touching disk.
+    checked last, against a handle, a header or a path's dataset, opened only
+    then and dropped at once, so every other bad argument fails first.
     """
     stat = statistic if isinstance(statistic, Statistic) else parse_statistic(statistic)
     # integer first, so that n < 2 keeps the message naming the jackknife's floor
@@ -63,7 +63,7 @@ def check_run(
     master_seed = checked_master_seed(master_seed)
     alpha = checked_alpha(alpha)
     if isinstance(dataset, (str, Path)):
-        dataset = read_header(dataset)
+        dataset = open_dataset(dataset)
     stat.validate_columns(dataset.col_count)
     return stat, n, K, master_seed, alpha
 
@@ -111,7 +111,7 @@ def run_estimate(
         # j-major: row j of every subsample in the chunk, then row j + 1
         planes = stat.planes(handle.read_records(indices.T.ravel()).rows)
         planes = planes.reshape(stat.q, n, len(ks))
-        arrays = jackknife_planes(stat, planes, ks, overwrite_planes=True)
+        arrays = jackknife_planes(stat, planes, ks)
         for column, values in zip(columns, arrays):
             column += values.tolist()
     return summarize(

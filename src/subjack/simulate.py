@@ -21,6 +21,7 @@ import math
 import multiprocessing
 import numbers
 import os
+import sys
 import tempfile
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -108,12 +109,13 @@ def temp_dataset(seed: int, n_rows: int, sigma):
 class ExperimentConfig:
     """One Monte Carlo experiment: dataset x statistic x (n, K) x M.
 
-    Built only from valid fields: M, theta_true and the dataset are checked
-    here, and the statistic, n, K, alpha and master seed by pipeline.check_run,
-    the check run_estimate makes. A generator spec is checked whole (its
-    sigma too) and counts as a 2-column dataset; a path has its header read,
-    after every other field has passed. Counts and seeds are stored as ints,
-    and a spec's parsed (seed, rows, sigma) as _spec (None for a path).
+    Built only from valid fields: M, theta_true (a finite number, not a bool,
+    or None) and the dataset are checked here, and the statistic, n, K, alpha
+    and master seed by pipeline.check_run, the check run_estimate makes. A
+    generator spec is checked whole (its sigma too) and counts as a 2-column
+    dataset; a path is opened, after every other field has passed. Counts and
+    seeds are stored as ints, and a spec's parsed (seed, rows, sigma) as _spec
+    (None for a path).
     """
 
     dataset: str | dict
@@ -127,8 +129,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         M = checked_count(self.M, "replication count M")
-        if self.theta_true is not None and not isinstance(self.theta_true, numbers.Real):
-            raise ValueError(f"theta_true must be a number or null, got {self.theta_true!r}")
+        theta = self.theta_true
+        # finite: abs(nan) compares False, and an int is compared exactly
+        if theta is not None and (isinstance(theta, bool) or not isinstance(theta, numbers.Real)
+                                  or not abs(theta) <= sys.float_info.max):
+            raise ValueError(f"theta_true must be a number or null, got {theta!r}")
         if isinstance(self.dataset, dict):
             spec = _parse_generator_spec(self.dataset)
             dataset = DatasetHeader(row_count=spec[1], col_count=2)

@@ -16,9 +16,10 @@ Other versions and dtype codes are rejected on open. write_blocks, the only
 writer, renames a finished temp file onto its target, so a failed write leaves
 the target as it was.
 
-open_dataset maps the file itself, read-only, and advises random access where
-the platform has madvise: each subsample reads n scattered rows, and readahead
-on every page not yet cached would multiply that.
+open_dataset checks and maps one descriptor, so a file renamed onto the path
+meanwhile is never mapped unchecked. The map is read-only and advised random
+access where the platform has madvise: each subsample reads n scattered rows,
+and readahead on every page not yet cached would multiply that.
 
 Reads and ingestion work in bulk. read_records checks its indices, then
 gathers every requested row with one bounds-checked ``take`` on the mapped
@@ -106,43 +107,40 @@ class DatasetHandle:
         return RecordBatch(np.asarray(self._rows.take(idx, axis=0), dtype=np.float64))
 
 
-def read_header(path: str | Path) -> DatasetHeader:
-    """Read and validate a dataset's header, and check the file's length."""
-    path = Path(path)
-    try:
-        size = path.stat().st_size
-        with open(path, "rb") as fh:
-            raw = fh.read(HEADER_SIZE)
-    except OSError as exc:
-        raise StoreError(f"cannot open dataset: {exc}") from exc
-    if len(raw) < HEADER_SIZE:
-        raise StoreError(f"{path}: truncated header ({len(raw)} bytes)")
-    magic, version, n_rows, n_cols, dtype_code = struct.unpack(_HEADER_FMT, raw)
-    if magic != MAGIC:
-        raise StoreError(f"{path}: not an SJDS file (magic {magic!r})")
-    if version != FORMAT_VERSION:
-        raise StoreError(f"{path}: unsupported format version {version}")
-    if dtype_code != DTYPE_FLOAT64:
-        raise StoreError(f"{path}: unsupported dtype code {dtype_code}")
-    if n_rows < 1 or n_cols < 1:
-        raise StoreError(f"{path}: invalid shape ({n_rows} x {n_cols})")
-    expected = HEADER_SIZE + n_rows * n_cols * _ROW_DTYPE.itemsize
-    if size != expected:
-        raise StoreError(f"{path}: length mismatch (expected {expected} bytes, found {size})")
-    return DatasetHeader(row_count=n_rows, col_count=n_cols)
-
-
 def open_dataset(path: str | Path) -> DatasetHandle:
     """Validate header and file length, then map the rows for random access.
 
+    One descriptor gives the length (fstat), the header and the mapping, so
+    the rows are those of the file checked even if path is replaced meanwhile.
     The handle's rows keep the mapping alive; it is unmapped with the handle.
     """
-    header = read_header(path)
-    with open(path, "rb") as fh:
-        mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    path = Path(path)
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            raw = fh.read(HEADER_SIZE)
+            if len(raw) < HEADER_SIZE:
+                raise StoreError(f"{path}: truncated header ({len(raw)} bytes)")
+            magic, version, n_rows, n_cols, dtype_code = struct.unpack(_HEADER_FMT, raw)
+            if magic != MAGIC:
+                raise StoreError(f"{path}: not an SJDS file (magic {magic!r})")
+            if version != FORMAT_VERSION:
+                raise StoreError(f"{path}: unsupported format version {version}")
+            if dtype_code != DTYPE_FLOAT64:
+                raise StoreError(f"{path}: unsupported dtype code {dtype_code}")
+            if n_rows < 1 or n_cols < 1:
+                raise StoreError(f"{path}: invalid shape ({n_rows} x {n_cols})")
+            expected = HEADER_SIZE + n_rows * n_cols * _ROW_DTYPE.itemsize
+            if size != expected:
+                raise StoreError(
+                    f"{path}: length mismatch (expected {expected} bytes, found {size})"
+                )
+            mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    except OSError as exc:
+        raise StoreError(f"cannot open dataset: {exc}") from exc
     if hasattr(mmap, "MADV_RANDOM"):
         mapping.madvise(mmap.MADV_RANDOM)
-    shape = (header.row_count, header.col_count)
+    shape = (n_rows, n_cols)
     return DatasetHandle(np.ndarray(shape, _ROW_DTYPE, buffer=mapping, offset=HEADER_SIZE))
 
 

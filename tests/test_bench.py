@@ -60,6 +60,15 @@ def test_bench_rejects_master_seed_that_would_alias(bench_dataset, seed):
     assert str(exc.value) == f"master seed must be an integer in [0, 2**64), got {seed}"
 
 
+def test_bench_rejects_row_count_the_dataset_contradicts(bench_dataset, monkeypatch):
+    timed = []
+    monkeypatch.setattr(bench, "_timed_draw", lambda *args: timed.append(args))
+    with pytest.raises(ValueError) as exc:
+        bench_sampling(7, [(10, 2)], seed=1, repeats=1, data_path=bench_dataset)
+    assert str(exc.value) == f"n_rows is 7, but {bench_dataset} has 200000 rows"
+    assert timed == []
+
+
 def test_bench_generates_own_dataset_when_missing():
     results = bench_sampling(20_000, [(50, 5)], seed=2, repeats=1)
     assert len(results) == 2

@@ -15,7 +15,7 @@ from subjack.pipeline import CHUNK_BYTES, draw_chunks, run_estimate
 from subjack.sampling import RNG_ID, draw_with_replacement, subsample_seed
 from subjack.simulate import generate_bivariate_normal
 from subjack.stats import Statistic, parse_statistic
-from subjack.store import open_dataset, read_header, write_matrix
+from subjack.store import open_dataset, write_matrix
 
 PAPER_SIGMA = [[25.0, 10.0], [10.0, 5.0]]
 
@@ -304,7 +304,7 @@ def test_estimate_past_2_to_the_32_rows_matches_the_chunk_path(huge_sparse_datas
     # f(i) = i % 1009 at exactly the rows the run draws; every other row is a hole
     path, put = huge_sparse_dataset
     stat, n, K, seed = parse_statistic("var:0"), 50, 20, 1
-    n_rows = read_header(path).row_count
+    n_rows = open_dataset(path).row_count
     indices = np.concatenate([idx for _, idx in draw_chunks(n_rows, n, K, seed, stat.q)])
     assert indices.max() >= 2**31
     values = (indices % 1009).astype(np.float64)

@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import json
 import math
@@ -230,15 +231,18 @@ def test_open_error_is_the_same_for_every_worker_count(tmp_path, monkeypatch, ca
 
 
 def _record_calls(monkeypatch, module, name, log_path):
-    """Patch module.name to append this process's pid to log_path on each call."""
-    real = getattr(module, name)
+    """Patch module.name to append this process's pid to log_path on each call.
+
+    A name the module does not define is the builtin the module calls by it.
+    """
+    real = getattr(module, name) if hasattr(module, name) else getattr(builtins, name)
 
     def recording(*args, **kwargs):
         with open(log_path, "a") as fh:
             fh.write(f"{os.getpid()}\n")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, recording)
+    monkeypatch.setattr(module, name, recording, raising=False)
 
 
 def _pids(log_path):
@@ -247,7 +251,7 @@ def _pids(log_path):
 
 def test_in_process_run_opens_the_dataset_once(sim_dataset, tmp_path, monkeypatch):
     cfg = ExperimentConfig(dataset=sim_dataset, statistic="corr:0,1", n=20, K=5, M=5)
-    _record_calls(monkeypatch, store, "read_header", tmp_path / "opens")
+    _record_calls(monkeypatch, store, "open", tmp_path / "opens")
     run_replications(cfg, workers=1)
     assert _pids(tmp_path / "opens") == [str(os.getpid())]
 
@@ -256,7 +260,7 @@ def test_in_process_run_opens_the_dataset_once(sim_dataset, tmp_path, monkeypatc
                     reason="pool processes see the patches only when forked")
 def test_pool_opens_the_dataset_once_per_process(sim_dataset, tmp_path, monkeypatch):
     cfg = ExperimentConfig(dataset=sim_dataset, statistic="corr:0,1", n=20, K=5, M=16)
-    _record_calls(monkeypatch, store, "read_header", tmp_path / "opens")
+    _record_calls(monkeypatch, store, "open", tmp_path / "opens")
     _record_calls(monkeypatch, simulate, "run_estimate", tmp_path / "tasks")
     run_replications(cfg, workers=2)
     opens, tasks = _pids(tmp_path / "opens"), _pids(tmp_path / "tasks")
@@ -435,6 +439,9 @@ def test_config_validation():
     ]:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(dataset=spec, statistic="mean:0", n=5, K=5, M=1)
+    for theta in [True, False, math.nan, math.inf, -math.inf, 10**400]:
+        with pytest.raises(ValueError, match="theta_true must be a number or null"):
+            ExperimentConfig(dataset="x", statistic="mean:0", n=5, K=5, M=1, theta_true=theta)
 
 
 def test_config_stores_integer_valued_fields_as_ints():

@@ -12,11 +12,9 @@ from hypothesis.extra.numpy import arrays
 from subjack import store
 from subjack.store import (
     HEADER_SIZE,
-    DatasetHeader,
     StoreError,
     convert_csv,
     open_dataset,
-    read_header,
     signed_log,
     write_blocks,
     write_matrix,
@@ -181,8 +179,24 @@ def test_open_valid_header(tmp_path):
     assert (handle.row_count, handle.col_count) == (100, 2)
 
 
-def test_read_header_without_mapping(tmp_path):
-    assert read_header(_valid_file(tmp_path)) == DatasetHeader(row_count=100, col_count=2)
+@pytest.mark.parametrize("replacement", [np.zeros((50, 2)), np.full((100, 3), -1.0)],
+                         ids=["shorter", "wider"])
+def test_file_replaced_after_open_is_not_mapped(tmp_path, monkeypatch, replacement):
+    # a writer renames another file onto the path right after the store opens it
+    path, other = _valid_file(tmp_path), tmp_path / "other.sjds"
+    write_matrix(replacement, other)
+
+    def open_then_replace(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        if other.exists():
+            os.replace(other, path)
+        return fh
+
+    monkeypatch.setattr(store, "open", open_then_replace, raising=False)
+    handle = open_dataset(path)
+    assert (handle.row_count, handle.col_count) == (100, 2)
+    rows = handle.read_records([0, 1, 99]).rows
+    assert rows.tolist() == [[0.0, 1.0], [2.0, 3.0], [198.0, 199.0]]
 
 
 def test_bad_magic_rejected(tmp_path):
