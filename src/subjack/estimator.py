@@ -276,6 +276,9 @@ def summarize(
     """
     checked_ci_center(ci_center)
     K = len(theta_hat)
+    if K == 0 or len(theta_jds) != K or len(ss) != K:
+        raise ValueError("summarize needs K >= 1 values in each of theta_hat, theta_jds "
+                         f"and ss, got {K}, {len(theta_jds)} and {len(ss)}")
     theta_sos = math.fsum(theta_hat) / K
     theta_jds = math.fsum(theta_jds) / K
     se2 = (1.0 / K + n / n_rows) * math.fsum(ss) / K

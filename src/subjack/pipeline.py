@@ -110,6 +110,10 @@ def run_estimate(
     for ks, indices in draw_chunks(handle.row_count, n, K, master_seed, row_width):
         # j-major: row j of every subsample in the chunk, then row j + 1
         planes = stat.planes(handle.read_records(indices.T.ravel()).rows)
+        shape = (stat.q, indices.size)
+        if planes.shape != shape:
+            raise ValueError(f"statistic {stat.name!r} planes must have shape {shape}, "
+                             f"got {planes.shape}")
         planes = planes.reshape(stat.q, n, len(ks))
         arrays = jackknife_planes(stat, planes, ks)
         for column, values in zip(columns, arrays):

@@ -1,14 +1,13 @@
 """Built-in statistics: a per-row feature map plus a smooth reducer.
 
-Every statistic is the pair (phi, g): phi turns an (m, p) batch of rows into
-an (m, q) feature matrix whose column means feed g, and g maps moment vectors
-to the scalar of interest. planes is the same feature map laid out moment
-by moment, as a C-contiguous (q, m) array, which is what the pipeline reads; a
-statistic gives one of the two and the other is its transposed copy. g and
-its domain predicate broadcast over any leading axes, with moments on the
-last axis. g_mean is g as the jackknife applies it to a batch of subsample
-means (see Statistic.g_mean). Each formula is written once, and a domain
-predicate computes only the quantity it tests.
+Every statistic is the pair (planes, g): planes turns an (m, p) batch of rows
+into a (q, m) array, feature i in row i, whose row means feed g, and g maps
+moment vectors to the scalar of interest. phi is the same map as an (m, q)
+matrix, the C-contiguous transposed copy of planes. g and its domain
+predicate broadcast over any leading axes, with moments on the last axis.
+g_mean is g as the jackknife applies it to a batch of subsample means (see
+Statistic.g_mean). Each formula is written once, and a domain predicate
+computes only the quantity it tests.
 """
 from __future__ import annotations
 
@@ -24,8 +23,8 @@ class Statistic:
     name: str
     q: int
     columns: tuple[int, ...]
-    # the (m, q) feature map; None derives it from planes
-    phi: Callable[[np.ndarray], np.ndarray] | None
+    # the feature map as a (q, m) array, feature i in row i
+    planes: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
     in_domain: Callable[[np.ndarray], np.ndarray]
     # g over an (m, q) batch of subsample means, rounding each row exactly as g
@@ -36,9 +35,6 @@ class Statistic:
     # stat_kurtosis). If g is rewritten with IEEE basic operations only (v * v),
     # the two paths agree by construction and this field can go.
     g_mean: Callable[[np.ndarray], np.ndarray] | None = None
-    # the feature map as a C-contiguous (q, m) array, feature i in row i;
-    # None derives it from phi
-    planes: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         for col in self.columns:
@@ -46,26 +42,16 @@ class Statistic:
                 raise ValueError(f"statistic {self.name!r} has negative column {col}")
         if self.g_mean is None:
             object.__setattr__(self, "g_mean", self.g)
-        if self.phi is None and self.planes is None:
-            raise ValueError(f"statistic {self.name!r} needs phi or planes")
-        # each derived map is a C-contiguous copy, never a transposed view
-        if self.planes is None:
-            object.__setattr__(self, "planes", _transposed(self.phi))
-        if self.phi is None:
-            object.__setattr__(self, "phi", _transposed(self.planes))
+
+    def phi(self, rows: np.ndarray) -> np.ndarray:
+        """The (m, q) feature matrix: a C-contiguous copy, never a transposed view."""
+        return np.ascontiguousarray(self.planes(rows).T, dtype=np.float64)
 
     def validate_columns(self, col_count: int) -> None:
         for col in self.columns:
             if col >= col_count:
                 raise ValueError(f"statistic {self.name!r} needs column {col}, "
                                  f"dataset has {col_count}")
-
-
-def _transposed(feature_map):
-    def transposed(rows):
-        return np.ascontiguousarray(feature_map(rows).T, dtype=np.float64)
-
-    return transposed
 
 
 def _always(m: np.ndarray) -> np.ndarray:
@@ -98,13 +84,12 @@ def stat_mean(col: int = 0) -> Statistic:
     def g(m):
         return m[..., 0]
 
-    return Statistic(f"mean:{col}", 1, (col,), None, g, _always, planes=_planes_powers(col, 1))
+    return Statistic(f"mean:{col}", 1, (col,), _planes_powers(col, 1), g, _always)
 
 
 def stat_variance(col: int = 0) -> Statistic:
     """Population-style variance m2 - m1^2 of one column."""
-    return Statistic(f"var:{col}", 2, (col,), None, _var, _always,
-                     planes=_planes_powers(col, 2))
+    return Statistic(f"var:{col}", 2, (col,), _planes_powers(col, 2), _var, _always)
 
 
 def stat_sd(col: int = 0) -> Statistic:
@@ -113,8 +98,7 @@ def stat_sd(col: int = 0) -> Statistic:
     def g(m):
         return np.sqrt(_var(m))
 
-    return Statistic(f"sd:{col}", 2, (col,), None, g, _var_positive,
-                     planes=_planes_powers(col, 2))
+    return Statistic(f"sd:{col}", 2, (col,), _planes_powers(col, 2), g, _var_positive)
 
 
 def stat_kurtosis(col: int = 0) -> Statistic:
@@ -132,8 +116,8 @@ def stat_kurtosis(col: int = 0) -> Statistic:
         # unlike a Python float's **, it overflows to inf instead of raising
         return _mu4(m) / np.array([v**2 for v in _var(m)])
 
-    return Statistic(f"kurt:{col}", 4, (col,), None, g, _var_positive, g_mean=g_mean,
-                     planes=_planes_powers(col, 4))
+    return Statistic(f"kurt:{col}", 4, (col,), _planes_powers(col, 4), g, _var_positive,
+                     g_mean=g_mean)
 
 
 def stat_correlation(col_a: int, col_b: int) -> Statistic:
@@ -157,8 +141,7 @@ def stat_correlation(col_a: int, col_b: int) -> Statistic:
     def in_domain(m):
         return (_var(m, 0, 2) > 0) & (_var(m, 1, 3) > 0)
 
-    return Statistic(f"corr:{col_a},{col_b}", 5, (col_a, col_b), None, g, in_domain,
-                     planes=planes)
+    return Statistic(f"corr:{col_a},{col_b}", 5, (col_a, col_b), planes, g, in_domain)
 
 
 _REGISTRY: dict[str, tuple[Callable[..., Statistic], int]] = {

@@ -94,13 +94,15 @@ class DatasetHandle:
     def read_records(self, indices) -> RecordBatch:
         """Fetch the given rows, duplicates allowed, in the order requested.
 
-        The indices are checked first (1-d, non-empty, within [0, row_count)),
-        then gathered from the mapped rows with one bounds-checked ``take``
-        into a new float64 array, the only copy made.
+        The indices are checked first (1-d, non-empty, of an integer dtype,
+        within [0, row_count)), then gathered from the mapped rows with one
+        bounds-checked ``take`` into a new float64 array, the only copy made.
         """
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = np.asarray(indices)
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("indices must be a non-empty 1-d sequence")
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"indices must be integers, got dtype {idx.dtype}")
         if idx.min() < 0 or idx.max() >= self.row_count:
             bad = idx[(idx < 0) | (idx >= self.row_count)][0]
             raise IndexError(f"row index {bad} out of range [0, {self.row_count})")
@@ -224,7 +226,7 @@ def convert_csv(
         raise ValueError("at least one column must be selected")
 
     try:
-        fh = open(csv_path, "r", newline="")
+        fh = open(csv_path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise StoreError(f"cannot read CSV: {exc}") from exc
     with fh:

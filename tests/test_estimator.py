@@ -17,6 +17,7 @@ from subjack.estimator import (
     jackknife_planes,
     jackknife_subsample,
     normal_quantile,
+    summarize,
 )
 from subjack.stats import (
     Statistic,
@@ -32,7 +33,7 @@ def _square_stat():
     # phi(x) = x, g(m) = m^2: the simplest strictly nonlinear reducer
     return Statistic(
         "square", 1, (0,),
-        phi=lambda rows: np.ascontiguousarray(rows[:, :1], dtype=np.float64),
+        planes=lambda rows: rows[:, :1].T,
         g=lambda m: m[..., 0] ** 2,
         in_domain=lambda m: np.ones(m.shape[:-1], dtype=bool),
     )
@@ -226,7 +227,7 @@ def _recorder(q):
         return m[..., 0]
 
     stat = Statistic(
-        f"record{q}", q, tuple(range(q)), phi=lambda rows: rows, g=g,
+        f"record{q}", q, tuple(range(q)), planes=lambda rows: rows.T, g=g,
         in_domain=lambda m: np.ones(m.shape[:-1], dtype=bool), g_mean=g_mean,
     )
     return stat, means, loos
@@ -372,7 +373,7 @@ def test_chunk_never_evaluates_g_outside_its_domain():
 
     stat = Statistic(
         "guarded", 1, (0,),
-        phi=lambda rows: np.ascontiguousarray(rows[:, :1], dtype=np.float64),
+        planes=lambda rows: rows[:, :1].T,
         g=g,
         in_domain=lambda m: m[..., 0] > 0,
     )
@@ -391,7 +392,7 @@ def _pole_stat():
     # exact arithmetic on the small integers planted below
     return Statistic(
         "pole", 1, (0,),
-        phi=lambda rows: np.ascontiguousarray(rows[:, :1], dtype=np.float64),
+        planes=lambda rows: rows[:, :1].T,
         g=lambda m: 1.0 / (m[..., 0] - 1.0),
         in_domain=lambda m: m[..., 0] > 0,
     )
@@ -505,6 +506,18 @@ def test_aggregate_rejects_empty_and_mixed_n():
     b = jackknife_subsample(_square_stat(), np.array([[1.0], [2.0]]), k=2)
     with pytest.raises(ValueError, match="mix"):
         aggregate([a, b], 10)
+
+
+@pytest.mark.parametrize("columns, counts", [
+    (([], [], []), "0, 0 and 0"),
+    (([1.0], [1.0, 5.0], [0.0, 9.0]), "1, 2 and 2"),
+    (([1.0, 2.0], [1.0, 5.0], [0.0]), "2, 2 and 1"),
+])
+def test_summarize_rejects_empty_or_unequal_columns(columns, counts):
+    with pytest.raises(ValueError) as exc:
+        summarize(*columns, 2, 10)
+    assert str(exc.value) == ("summarize needs K >= 1 values in each of theta_hat, "
+                              f"theta_jds and ss, got {counts}")
 
 
 def test_se_scales_with_ss():

@@ -171,7 +171,7 @@ def test_custom_statistic_rejects_negative_column():
         return m[..., 0]
 
     with pytest.raises(ValueError, match="statistic 'custom' has negative column -3"):
-        Statistic("custom", 1, (0, -3), lambda rows: rows[:, :1], first, first)
+        Statistic("custom", 1, (0, -3), lambda rows: rows[:, :1].T, first, first)
 
 
 # Reference copies of the built-ins with every formula written out where it is
@@ -340,17 +340,11 @@ def test_statistic_derives_the_map_it_is_not_given():
     def first(m):
         return m[..., 0]
 
-    from_phi = Statistic("custom", 2, (0,), lambda rows: rows[:, :2] * 2, first, first)
-    from_planes = Statistic("custom", 2, (0,), None, first, first,
-                            planes=lambda rows: rows[:, :2].T * 2)
+    stat = Statistic("custom", 2, (0,), lambda rows: rows[:, :2].T * 2, first, first)
     rows = np.random.default_rng(3).normal(size=(9, 3))
-    assert from_phi.planes(rows).flags.c_contiguous
-    assert from_planes.phi(rows).flags.c_contiguous
-    for stat in (from_phi, from_planes):
-        _same_bits(stat.phi(rows), rows[:, :2] * 2)
-        _same_bits(stat.planes(rows), (rows[:, :2] * 2).T)
-    with pytest.raises(ValueError, match="statistic 'custom' needs phi or planes"):
-        Statistic("custom", 1, (0,), None, first, first)
+    assert stat.phi(rows).flags.c_contiguous
+    _same_bits(stat.phi(rows), rows[:, :2] * 2)
+    _same_bits(stat.planes(rows), (rows[:, :2] * 2).T)
 
 
 @pytest.mark.parametrize("stat, ref, pairs", _PINNED, ids=[stat.name for stat, _, _ in _PINNED])

@@ -2,6 +2,9 @@ import math
 import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +86,15 @@ def test_out_of_range_index(small_dataset):
         handle.read_records([-1])
 
 
+def test_any_integer_dtype_reads_the_same_rows(small_dataset):
+    handle, _ = small_dataset
+    want = handle.read_records([3, 1, 99]).rows.tobytes()
+    for dtype in (np.uint8, np.int16, np.uint32, np.int64, np.uint64):
+        assert handle.read_records(np.array([3, 1, 99], dtype=dtype)).rows.tobytes() == want
+    with pytest.raises(IndexError, match=re.escape("row index 200 out of range [0, 100)")):
+        handle.read_records(np.array([200], dtype=np.uint8))
+
+
 def test_empty_indices_rejected(small_dataset):
     handle, _ = small_dataset
     with pytest.raises(ValueError):
@@ -126,6 +138,11 @@ def test_gather_equals_memmap_fancy_indexing(tmp_path_factory, n_rows, n_cols, s
     ([0, -7, 1000], IndexError, "row index -7 out of range [0, 100)"),
     ([], ValueError, "indices must be a non-empty 1-d sequence"),
     ([[0, 1], [2, 3]], ValueError, "indices must be a non-empty 1-d sequence"),
+    ([[0.5]], ValueError, "indices must be a non-empty 1-d sequence"),
+    ([1.7], ValueError, "indices must be integers, got dtype float64"),
+    ([250.0], ValueError, "indices must be integers, got dtype float64"),
+    ([True, False], ValueError, "indices must be integers, got dtype bool"),
+    (["1"], ValueError, "indices must be integers, got dtype <U1"),
 ])
 def test_read_records_error_texts(small_dataset, indices, error, text):
     handle, _ = small_dataset
@@ -438,6 +455,27 @@ def test_convert_rejects_nonfinite(tmp_path, cell, transform):
     with pytest.raises(StoreError, match=f"non-finite value '{cell}' at row 3"):
         convert_csv(csv_path, ["x"], transform, tmp_path / "f.sjds")
     assert not (tmp_path / "f.sjds").exists()
+
+
+def test_convert_reads_utf8_under_a_posix_locale(tmp_path):
+    # U+3000 is three bytes in UTF-8, which the POSIX locale's ASCII codec rejects
+    csv_path = tmp_path / "wide.csv"
+    csv_path.write_bytes("x,y\n\u30001.5\u3000,9\n-2\u3000,9\n".encode("utf-8"))
+    path = [str(Path(store.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    posix = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "POSIX"}
+    outs = {}
+    for name, extra in [("default", {}), ("posix", posix)]:
+        out = tmp_path / f"{name}.sjds"
+        proc = subprocess.run(
+            [sys.executable, "-m", "subjack.cli", "convert", "--csv", str(csv_path),
+             "--columns", "x", "--out", str(out)],
+            env={**env, **extra}, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs[name] = out.read_bytes()
+    assert outs["posix"] == outs["default"]
+    rows = open_dataset(tmp_path / "posix.sjds").read_records([0, 1]).rows
+    np.testing.assert_array_equal(rows[:, 0], [1.5, -2.0])
 
 
 def test_convert_missing_file(tmp_path):
