@@ -15,7 +15,6 @@ from .estimator import (
     SubsampleResult,
     aggregate,
     confidence_interval,
-    jackknife_arrays,
     jackknife_chunk,
     jackknife_subsample,
     normal_quantile,

@@ -28,7 +28,7 @@ the contiguous axis, pairwise. On planes, add.reduce over the rows adds in
 order in loops Kc long, except for one subsample (Kc = 1), whose rows it would
 add pairwise; that case, q = 1 and planes in any other layout take the
 row-major sums on a copy. The g values are copied to C order, so each
-subsample's n of them are summed pairwise. jackknife_arrays is the kernel on a
+subsample's n of them are summed pairwise. jackknife_chunk runs the kernel on a
 (Kc, n, q) chunk, with the chunk's own means.
 
 run_estimate keeps each chunk's arrays and hands them to summarize, the
@@ -45,6 +45,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .sampling import checked_count
 from .stats import Statistic
 
 
@@ -112,27 +113,6 @@ def _plane_means(planes: np.ndarray) -> np.ndarray:
     return np.add.reduce(planes, axis=1) / n
 
 
-def jackknife_arrays(stat: Statistic, features, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jackknife the subsamples features[i], ordinals ks[i], with leave-one-out
-    downdates over the whole (Kc, n, q) chunk at once.
-
-    Returns float64 arrays (theta_hat, theta_jds, ss), entry i for subsample
-    ks[i]; ks is a sequence, read only to name a failing subsample. A failing
-    chunk raises the error of its first failing subsample in ks order, checked
-    as for one subsample: mean point domain, mean point finite, leave-one-out
-    domain, finite results. g only ever sees in-domain points.
-
-    This is jackknife_planes on the chunk's transposed view, given the means
-    sum(axis=1) / n takes on the chunk as laid out. The view's layout cannot
-    say how to round them: one column-major subsample is C-contiguous planes.
-    """
-    arr = np.asarray(features, dtype=np.float64)
-    n = _check_features(stat, arr, ndim=3)
-    # a copy with the view's strides, on which the rounding of g can depend
-    planes = arr.transpose(2, 1, 0).copy(order="K")
-    return jackknife_planes(stat, planes, ks, mu=(arr.sum(axis=1) / n).T)
-
-
 def jackknife_planes(
     stat: Statistic,
     planes,
@@ -140,11 +120,17 @@ def jackknife_planes(
     *,
     mu: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """jackknife_arrays on moment planes: planes[i, j, c] is feature i of row j
-    of subsample ks[c], a (q, n, Kc) array, C-contiguous as run_estimate
+    """The jackknife kernel on moment planes: planes[i, j, c] is feature i of
+    row j of subsample ks[c], a (q, n, Kc) array, C-contiguous as run_estimate
     builds it. mu, the (q, Kc) subsample means, defaults to _plane_means.
     The leave-one-out means are written over the planes, so a float64 planes
     array passed in is overwritten.
+
+    Returns float64 arrays (theta_hat, theta_jds, ss), entry c for subsample
+    ks[c]; ks is a sequence, read only to name a failing subsample. A failing
+    chunk raises the error of its first failing subsample in ks order, checked
+    as for one subsample: mean point domain, mean point finite, leave-one-out
+    domain, finite results. g only ever sees in-domain points.
     """
     planes = np.asarray(planes, dtype=np.float64)
     if planes.ndim != 3 or planes.shape[0] != stat.q:
@@ -203,14 +189,21 @@ def jackknife_planes(
 
 
 def jackknife_chunk(stat: Statistic, features, ks) -> list[SubsampleResult]:
-    """jackknife_arrays' results for each subsample, as SubsampleResults in ks order."""
+    """jackknife_planes on a (Kc, n, q) chunk, subsample features[i] with
+    ordinal ks[i], as SubsampleResults in ks order. The kernel gets a copy of
+    the chunk's transposed view and the means sum(axis=1) / n takes on the
+    chunk as laid out: the view's layout cannot say how to round them, since
+    one column-major subsample is C-contiguous planes.
+    """
     arr = np.asarray(features, dtype=np.float64)
+    n = _check_features(stat, arr, ndim=3)
     ks = list(ks)
-    columns = (array.tolist() for array in jackknife_arrays(stat, arr, ks))
-    n = arr.shape[1]
+    # a copy with the view's strides, on which the rounding of g can depend
+    planes = arr.transpose(2, 1, 0).copy(order="K")
+    arrays = jackknife_planes(stat, planes, ks, mu=(arr.sum(axis=1) / n).T)
     return [
         SubsampleResult(k=k, theta_hat=hat, theta_jds=jds, ss=s, n=n)
-        for k, hat, jds, s in zip(ks, *columns)
+        for k, hat, jds, s in zip(ks, *(array.tolist() for array in arrays))
     ]
 
 
@@ -279,6 +272,8 @@ def summarize(
     if K == 0 or len(theta_jds) != K or len(ss) != K:
         raise ValueError("summarize needs K >= 1 values in each of theta_hat, theta_jds "
                          f"and ss, got {K}, {len(theta_jds)} and {len(ss)}")
+    n = checked_count(n, "n", minimum=2)
+    n_rows = checked_count(n_rows, "n_rows")
     theta_sos = math.fsum(theta_hat) / K
     theta_jds = math.fsum(theta_jds) / K
     se2 = (1.0 / K + n / n_rows) * math.fsum(ss) / K

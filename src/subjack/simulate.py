@@ -215,14 +215,16 @@ def replication_seed(master_seed: int, m: int) -> int:
 
 
 def resolve_workers(workers: int | None) -> int:
-    """Process count for a replication pool; None or <= 0 means auto.
+    """Process count for a replication pool; None or <= 0 means auto, and
+    anything else but an integer (a bool included) is a ValueError.
 
     Auto is the number of CPUs this process may run on, up to 8.
     """
-    if workers is None or workers <= 0:
+    count = 0 if workers is None else checked_count(workers, "workers", minimum=-math.inf)
+    if count <= 0:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         return min(cpus or 1, 8)
-    return workers
+    return count
 
 
 def _parse_generator_spec(spec: dict) -> tuple[int, int, np.ndarray]:
@@ -288,8 +290,9 @@ def _score(values: list[float], ses: list[float], intervals: list[tuple[float, f
 
 def run_replications(cfg: ExperimentConfig, *, workers: int | None = 1) -> ReplicationMetrics:
     """Run the estimate pipeline M times and score both estimator families."""
+    n_workers = min(resolve_workers(workers), cfg.M)
     with nullcontext(cfg.dataset) if cfg._spec is None else temp_dataset(*cfg._spec) as path:
-        reps = _collect_replications(cfg, path, workers)
+        reps = _collect_replications(cfg, path, n_workers)
 
     per_rep = [
         PerReplication(m, sos, jds, se,
@@ -307,11 +310,10 @@ def run_replications(cfg: ExperimentConfig, *, workers: int | None = 1) -> Repli
                               per_rep=per_rep)
 
 
-def _collect_replications(cfg: ExperimentConfig, path: str | Path, workers: int | None):
-    """Every replication's outcome, in m order, from at most M processes."""
+def _collect_replications(cfg: ExperimentConfig, path: str | Path, n_workers: int):
+    """Every replication's outcome, in m order, from n_workers processes."""
     ms = range(1, cfg.M + 1)
     task = partial(_replicate, path, cfg)
-    n_workers = min(resolve_workers(workers), cfg.M)
     if n_workers <= 1:
         try:
             return list(map(task, ms))

@@ -12,7 +12,6 @@ from subjack.estimator import (
     SubsampleResult,
     aggregate,
     confidence_interval,
-    jackknife_arrays,
     jackknife_chunk,
     jackknife_planes,
     jackknife_subsample,
@@ -252,7 +251,7 @@ def _heavy_tailed_chunks(kc, n, q, center, seed):
 def test_kernel_subsample_means_are_sums_over_rows_bit_for_bit(q, kc, n, center, seed):
     stat, means, _ = _recorder(q)
     for features in _heavy_tailed_chunks(kc, n, q, center, seed):
-        jackknife_arrays(stat, features, range(1, kc + 1))
+        jackknife_chunk(stat, features, range(1, kc + 1))
         assert _hex(means.pop().ravel()) == _hex((features.sum(axis=1) / n).ravel())
 
 
@@ -267,7 +266,7 @@ def test_kernel_subsample_means_are_sums_over_rows_bit_for_bit(q, kc, n, center,
 def test_kernel_leave_one_out_means_are_the_downdate_bit_for_bit(q, kc, n, center, seed):
     stat, means, loos = _recorder(q)
     for features in _heavy_tailed_chunks(kc, n, q, center, seed):
-        jackknife_arrays(stat, features, range(1, kc + 1))
+        jackknife_chunk(stat, features, range(1, kc + 1))
         mu = means.pop()
         expected = (n * mu[:, None] - features) / (n - 1)
         assert _hex(loos.pop().ravel()) == _hex(expected.ravel())
@@ -277,6 +276,12 @@ def _bits(array):
     # the bytes of each double in logical order: equal exactly when every
     # pair of doubles is, -0.0 against 0.0 and each NaN payload included
     return np.ascontiguousarray(array, dtype=np.float64).tobytes()
+
+
+def _columns(results):
+    # the (theta_hat, theta_jds, ss) columns of a chunk's SubsampleResults
+    return [[r.theta_hat for r in results], [r.theta_jds for r in results],
+            [r.ss for r in results]]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -300,12 +305,12 @@ def test_kernel_on_moment_planes_matches_the_row_major_chunk_bit_for_bit(q, kc, 
     planes = arr.transpose(2, 1, 0).copy()  # never a view of arr: the kernel writes to it
     kept = arr.copy()
     got = jackknife_planes(stat, planes, ks)
-    expected = jackknife_arrays(stat, arr, ks)
+    expected = _columns(jackknife_chunk(stat, arr, ks))
     assert [_bits(a) for a in got] == [_bits(a) for a in expected]
     assert _bits(means[0]) == _bits(means[1])
     assert _bits(loos[0]) == _bits(loos[1])
     # the kernel writes the leave-one-out means over its planes, and
-    # jackknife_arrays leaves the caller's chunk as it was
+    # jackknife_chunk leaves the caller's chunk as it was
     assert _bits(arr) == _bits(kept)
     assert _bits(planes.transpose(2, 1, 0)) == _bits(loos[1])
 
@@ -324,12 +329,9 @@ def test_kernel_returns_float64_arrays_equal_to_chunk_results():
     stat = stat_correlation(0, 1)
     features = _chunk_features(stat, 9, 30, 5)
     ks = range(4, 13)
-    arrays = jackknife_arrays(stat, features, ks)
+    arrays = jackknife_planes(stat, features.transpose(2, 1, 0).copy(), ks)
     assert all(a.dtype == np.float64 and a.shape == (9,) for a in arrays)
-    chunk = jackknife_chunk(stat, features, ks)
-    assert [a.tolist() for a in arrays] == [
-        [r.theta_hat for r in chunk], [r.theta_jds for r in chunk], [r.ss for r in chunk]
-    ]
+    assert [a.tolist() for a in arrays] == _columns(jackknife_chunk(stat, features, ks))
 
 
 def test_kurt_mean_point_reducer_squares_with_pow():
@@ -518,6 +520,23 @@ def test_summarize_rejects_empty_or_unequal_columns(columns, counts):
         summarize(*columns, 2, 10)
     assert str(exc.value) == ("summarize needs K >= 1 values in each of theta_hat, "
                               f"theta_jds and ss, got {counts}")
+
+
+@pytest.mark.parametrize("n, n_rows, message", [
+    (2, 0, "n_rows must be >= 1"),
+    (2, -5, "n_rows must be >= 1"),
+    (2, 10.5, "n_rows must be an integer, got 10.5"),
+    (2, True, "n_rows must be an integer, got True"),
+    (0, 10, "n must be >= 2"),
+    (1, 10, "n must be >= 2"),
+    (2.5, 10, "n must be an integer, got 2.5"),
+])
+def test_summarize_and_aggregate_reject_bad_counts(n, n_rows, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        summarize([1.0, 2.0], [1.0, 2.0], [0.5, 0.5], n, n_rows)
+    results = [SubsampleResult(k=k, theta_hat=1.0, theta_jds=1.0, ss=0.5, n=n) for k in (1, 2)]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        aggregate(results, n_rows)
 
 
 def test_se_scales_with_ss():

@@ -4,13 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from subjack.estimator import (
-    DomainEvalError,
-    aggregate,
-    jackknife_arrays,
-    jackknife_chunk,
-    summarize,
-)
+from subjack.estimator import DomainEvalError, aggregate, jackknife_chunk
 from subjack.pipeline import CHUNK_BYTES, draw_chunks, run_estimate
 from subjack.sampling import RNG_ID, draw_with_replacement, subsample_seed
 from subjack.simulate import generate_bivariate_normal
@@ -275,14 +269,13 @@ def test_chunk_boundaries_never_change_results(sigma_dataset, splits):
 
 def _row_major_report(handle, stat, n, K, seed):
     # the row-major chunk path: rows read in k order, phi's (K, n, q) features,
-    # jackknife_arrays over them, then summarize
+    # jackknife_chunk over them, then aggregate
     row_width = max(stat.q, handle.col_count)
     indices = np.concatenate([idx for _, idx in draw_chunks(handle.row_count, n, K, seed,
                                                             row_width)])
     features = stat.phi(handle.read_records(indices.ravel()).rows).reshape(K, n, stat.q)
-    arrays = jackknife_arrays(stat, features, range(1, K + 1))
-    return summarize(*(a.tolist() for a in arrays), n, handle.row_count, master_seed=seed,
-                     statistic_name=stat.name, rng_id=RNG_ID)
+    return aggregate(jackknife_chunk(stat, features, range(1, K + 1)), handle.row_count,
+                     master_seed=seed, statistic_name=stat.name, rng_id=RNG_ID)
 
 
 # K = 1 (mod Kc), so the last chunk holds one subsample, whose rows add.reduce
@@ -312,7 +305,6 @@ def test_estimate_past_2_to_the_32_rows_matches_the_chunk_path(huge_sparse_datas
     values = (indices % 1009).astype(np.float64)
     put(indices.ravel(), values.ravel())
     features = stat.phi(values.reshape(-1, 1)).reshape(K, n, stat.q)
-    arrays = jackknife_arrays(stat, features, range(1, K + 1))
-    expected = summarize(*(a.tolist() for a in arrays), n, n_rows, master_seed=seed,
-                         statistic_name=stat.name, rng_id=RNG_ID)
+    expected = aggregate(jackknife_chunk(stat, features, range(1, K + 1)), n_rows,
+                         master_seed=seed, statistic_name=stat.name, rng_id=RNG_ID)
     assert run_estimate(path, stat, n, K, seed) == expected

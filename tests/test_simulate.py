@@ -294,6 +294,18 @@ def test_auto_workers_follow_cpu_affinity(monkeypatch, affinity, cpu_count, expe
     assert simulate.resolve_workers(5) == 5
 
 
+@pytest.mark.parametrize("workers", [2.5, "2", True])
+def test_bad_worker_count_is_rejected_before_the_dataset_is_generated(monkeypatch, workers):
+    generated = []
+    monkeypatch.setattr(simulate, "generate_bivariate_normal",
+                        lambda *args: generated.append(args))
+    cfg = ExperimentConfig(dataset={"rows": 100_000, "seed": 4}, statistic="corr:0,1",
+                           n=30, K=10, M=4)
+    with pytest.raises(ValueError, match=f"^workers must be an integer, got {workers!r}$"):
+        run_replications(cfg, workers=workers)
+    assert generated == []
+
+
 @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
 def test_pool_processes_exit_with_their_parent(tmp_path):
     data = tmp_path / "d.sjds"
