@@ -5,6 +5,12 @@ diagnostics go to stderr. Exit codes: 0 success, 1 usage error, 2 runtime or
 domain error. SIGTERM takes SIGINT's path: the command unwinds, simulate's
 pool cancels the replications not yet started, and it exits 2 with one error
 line.
+
+simulate starts its process pool on the first config that runs pooled and
+reuses it for every later config with the same process count; its workers
+map a dataset only while a config runs. An error or an interrupt shuts the
+pool down, and so does the interpreter's exit, so no worker outlives the
+command; a single-config command still pays one pool start.
 """
 from __future__ import annotations
 

@@ -8,12 +8,23 @@ outcome depends on (master_seed, m) alone, never on execution order.
 _replicate(path, cfg, m) is the one replication task: run_replications maps
 it over m in-process, or through a pool, with the same arguments. It opens the
 dataset through a one-entry cache, so each process that runs replications maps
-the dataset once and reads every replication it runs through that one map; a
-pool process opens it in its first task, so an open error reaches the caller
-as that task's StoreError at every worker count. A pool process's RSS
-therefore counts once each dataset page it has touched; those are shared file
-pages, not heap. The in-process run empties the cache before it returns, so
-nothing stays mapped. Pool processes exit once their parent is gone.
+the dataset once per call and reads every replication it runs through that
+one map; a pool process opens it in its first task of a call, so an open error
+reaches the caller as that task's StoreError at every worker count. A pool
+process's RSS therefore counts once each dataset page it has touched; those
+are shared file pages, not heap.
+
+A process keeps one replication pool. It starts on the first pooled call and
+is reused by every later pooled call with the same process count; a call with
+another count, or a call in a forked child, shuts the old pool down before it
+starts a new one. Every call, in-process or pooled, empties each process's
+cache before it returns, so no process maps a dataset between calls: a
+generated temp file is unmapped once the call returns, and a file replaced
+between calls is opened afresh. An error or an interrupt during a pooled call
+shuts the pool down, cancelling the replications not yet started; the
+interpreter's exit joins the pool, and pool processes exit once their parent
+is gone, even when it was killed. The pool serves one call at a time: two
+threads must not run pooled calls at once.
 """
 from __future__ import annotations
 
@@ -247,6 +258,11 @@ def _parse_generator_spec(spec: dict) -> tuple[int, int, np.ndarray]:
 # this process's map of the dataset it runs replications on
 _open_cached = lru_cache(maxsize=1)(open_dataset)
 
+# this process's replication pool as (creating pid, process count, pool)
+_shared_pool: tuple[int, int, ProcessPoolExecutor] | None = None
+# in a pool process: where every process of the pool meets to drop its map
+_release_barrier = None
+
 
 def _replicate(path: str | Path, cfg: ExperimentConfig, m: int):
     """(m, theta_sos, theta_jds, se) of replication m of cfg on the dataset at path."""
@@ -258,7 +274,7 @@ def _replicate(path: str | Path, cfg: ExperimentConfig, m: int):
 
 
 def _exit_with_parent() -> None:
-    """Pool initializer: end this process once the process that started the pool is gone."""
+    """End this process once the process that started the pool is gone."""
     parent = multiprocessing.parent_process()
 
     def watch():
@@ -268,6 +284,53 @@ def _exit_with_parent() -> None:
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()
+
+
+def _start_worker(barrier) -> None:
+    """Pool initializer: keep the pool's release barrier and watch the parent."""
+    global _release_barrier
+    _release_barrier = barrier
+    _exit_with_parent()
+
+
+def _release_map() -> None:
+    """Pool task: drop this process's map, then wait until every process has.
+
+    No process can take a second release task before all have taken one, so
+    n_workers of them reach every process of the pool.
+    """
+    _open_cached.cache_clear()
+    _release_barrier.wait()
+
+
+def _release_maps(pool: ProcessPoolExecutor, n_workers: int) -> None:
+    for future in [pool.submit(_release_map) for _ in range(n_workers)]:
+        future.result()
+
+
+def _pool(n_workers: int) -> ProcessPoolExecutor:
+    """This process's pool of n_workers processes, started if it has none."""
+    global _shared_pool
+    key = (os.getpid(), n_workers)
+    if _shared_pool is not None and _shared_pool[:2] != key:
+        # shut down first, so no manager thread is alive when the new pool forks
+        _discard_pool()
+    if _shared_pool is None:
+        pool = ProcessPoolExecutor(max_workers=n_workers, initializer=_start_worker,
+                                   initargs=(multiprocessing.Barrier(n_workers),))
+        _shared_pool = (*key, pool)
+        # a spawn or forkserver pool starts a process per task until a result
+        # comes back; no release task returns before n_workers have started
+        _release_maps(pool, n_workers)
+    return _shared_pool[2]
+
+
+def _discard_pool() -> None:
+    """Shut down this process's pool, if it has one, cancelling queued tasks."""
+    global _shared_pool
+    if _shared_pool is not None:
+        pool, _shared_pool = _shared_pool[2], None
+        pool.shutdown(cancel_futures=True)
 
 
 def _score(values: list[float], ses: list[float], intervals: list[tuple[float, float]],
@@ -319,5 +382,11 @@ def _collect_replications(cfg: ExperimentConfig, path: str | Path, n_workers: in
             return list(map(task, ms))
         finally:
             _open_cached.cache_clear()
-    with ProcessPoolExecutor(max_workers=n_workers, initializer=_exit_with_parent) as pool:
-        return list(pool.map(task, ms, chunksize=max(1, cfg.M // (8 * n_workers))))
+    try:
+        pool = _pool(n_workers)
+        reps = list(pool.map(task, ms, chunksize=max(1, cfg.M // (8 * n_workers))))
+        _release_maps(pool, n_workers)
+    except BaseException:
+        _discard_pool()
+        raise
+    return reps

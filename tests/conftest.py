@@ -4,7 +4,17 @@ import struct
 import numpy as np
 import pytest
 
+from subjack import simulate
 from subjack.store import HEADER_SIZE, DatasetHeader, write_matrix, open_dataset
+
+
+@pytest.fixture(autouse=True)
+def fresh_replication_pool():
+    """Give each test its own replication pool: a pool forked before a test's
+    monkeypatch would not see it, and one left running would outlive the test."""
+    simulate._discard_pool()
+    yield
+    simulate._discard_pool()
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import threading
 import time
+import types
 from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
@@ -269,6 +270,88 @@ def test_pool_opens_the_dataset_once_per_process(sim_dataset, tmp_path, monkeypa
     assert sorted(opens) == sorted(set(tasks))
 
 
+def _record_pools(monkeypatch):
+    """Patch simulate's ProcessPoolExecutor to list each pool it starts; a
+    pool's .size is its process count and .shut whether it was shut down."""
+    pools = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            super().__init__(max_workers=max_workers, **kwargs)
+            self.size, self.shut = max_workers, False
+            pools.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            self.shut = True
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
+def test_pooled_calls_reuse_one_pool(sim_dataset, monkeypatch):
+    pools = _record_pools(monkeypatch)
+    base = dict(dataset=sim_dataset, statistic="corr:0,1", n=20, K=8, M=6,
+                theta_true=2 / math.sqrt(5))
+    for master_seed in (1, 2):
+        cfg = ExperimentConfig(master_seed=master_seed, **base)
+        parallel = run_replications(cfg, workers=2)
+        serial = run_replications(cfg, workers=1)
+        assert parallel.per_rep == serial.per_rep
+        assert parallel.csv_row() == serial.csv_row()
+    assert [(pool.size, pool.shut) for pool in pools] == [(2, False)]
+
+
+def test_pool_of_another_size_replaces_the_pool(sim_dataset, monkeypatch):
+    pools = _record_pools(monkeypatch)
+    cfg = ExperimentConfig(dataset=sim_dataset, statistic="corr:0,1", n=20, K=8, M=6)
+    serial = run_replications(cfg, workers=1).per_rep
+    for workers in (2, 3, 3):
+        assert run_replications(cfg, workers=workers).per_rep == serial
+    assert [(pool.size, pool.shut) for pool in pools] == [(2, True), (3, False)]
+
+
+def test_pool_is_not_reused_after_a_pid_change(sim_dataset, monkeypatch):
+    # a forked child inherits its parent's pool, under its parent's pid
+    pools = _record_pools(monkeypatch)
+    cfg = ExperimentConfig(dataset=sim_dataset, statistic="corr:0,1", n=20, K=8, M=6)
+    first = run_replications(cfg, workers=2)
+    # only simulate's view of the pid moves; multiprocessing checks the real one
+    moved_os = types.ModuleType("os")
+    moved_os.__dict__.update(vars(os), getpid=lambda pid=os.getpid(): pid + 1)
+    monkeypatch.setattr(simulate, "os", moved_os)
+    assert run_replications(cfg, workers=2).per_rep == first.per_rep
+    assert [(pool.size, pool.shut) for pool in pools] == [(2, True), (2, False)]
+
+
+def test_file_replaced_between_pooled_calls_is_read_afresh(tmp_path, monkeypatch):
+    pools = _record_pools(monkeypatch)
+    path, other = tmp_path / "d.sjds", tmp_path / "other.sjds"
+    generate_bivariate_normal(1, 2000, PAPER_SIGMA, path)
+    generate_bivariate_normal(2, 2000, PAPER_SIGMA, other)
+    cfg = ExperimentConfig(dataset=str(path), statistic="corr:0,1", n=10, K=5, M=4)
+    before = run_replications(cfg, workers=2)
+    os.replace(other, path)
+    after = run_replications(cfg, workers=2)
+    assert after.per_rep == run_replications(cfg, workers=1).per_rep
+    assert after.per_rep != before.per_rep
+    assert len(pools) == 1
+
+
+def test_pooled_call_after_a_failed_one_succeeds(tmp_path, monkeypatch):
+    pools = _record_pools(monkeypatch)
+    path = tmp_path / "d.sjds"
+    generate_bivariate_normal(1, 2000, np.eye(2), path)
+    cfg = ExperimentConfig(dataset=str(path), statistic="corr:0,1", n=10, K=5, M=4)
+    good = path.read_bytes()
+    path.write_text("x,y\n1,2\n")
+    with pytest.raises(StoreError):
+        run_replications(cfg, workers=2)
+    path.write_bytes(good)
+    assert run_replications(cfg, workers=2).per_rep == run_replications(cfg, workers=1).per_rep
+    assert [(pool.size, pool.shut) for pool in pools] == [(2, True), (2, False)]
+
+
 def test_generator_spec_is_parsed_once(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     _record_calls(monkeypatch, simulate, "_parse_generator_spec", tmp_path / "parses")
@@ -409,11 +492,16 @@ def test_generated_dataset_is_unmapped_after_run(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     cfg = ExperimentConfig(dataset={"rows": 5000, "seed": 2}, statistic="corr:0,1",
                            n=10, K=5, M=2, master_seed=3)
-    run_replications(cfg, workers=1)
-    assert list(tmp_path.iterdir()) == []
-    with open("/proc/self/maps") as fh:
-        leaked = [line for line in fh if str(tmp_path.resolve()) in line]
-    assert leaked == []
+    for workers in (1, 2):
+        run_replications(cfg, workers=workers)
+        assert list(tmp_path.iterdir()) == []
+        # the pool outlives the call, so its processes are still there to look at
+        pids = ["self"] + [str(child.pid) for child in multiprocessing.active_children()]
+        assert len(pids) == (1 if workers == 1 else 1 + workers)
+        for pid in pids:
+            with open(f"/proc/{pid}/maps") as fh:
+                leaked = [line for line in fh if str(tmp_path.resolve()) in line]
+            assert leaked == []
 
 
 def test_config_validation():
