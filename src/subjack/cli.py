@@ -2,9 +2,13 @@
 
 Results go to stdout (JSON, CSV, or an aligned table); progress and
 diagnostics go to stderr. Exit codes: 0 success, 1 usage error, 2 runtime or
-domain error. SIGTERM takes SIGINT's path: the command unwinds, simulate's
-pool cancels the replications not yet started, and it exits 2 with one error
-line.
+domain error. SIGTERM takes SIGINT's path: the command unwinds, each of
+simulate's workers finishes at most the replication it holds and takes no
+other, and it exits 2 with one error line. Every file a command writes
+(convert's and generate's dataset, simulate's --out) is built under a temp
+name beside its path and renamed onto it when complete: a path in a missing
+directory fails before the command's main work, and an error or an interrupt
+leaves an existing file as it was.
 
 simulate starts its process pool on the first config that runs pooled and
 reuses it for every later config with the same process count; its workers
@@ -17,8 +21,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import signal
 import sys
+from contextlib import contextmanager, nullcontext
+from pathlib import Path
 
 import numpy as np
 
@@ -122,25 +129,42 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+@contextmanager
+def _replacing(path):
+    """A text file opened under a temp name beside path, renamed onto path when
+    the block completes and removed on any exception, leaving path as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _cmd_simulate(args) -> int:
     with open(args.config) as fh:
         raw = json.load(fh)
     entries = raw if isinstance(raw, list) else [raw]
     configs = [ExperimentConfig.from_dict(entry) for entry in entries]
 
-    writer = csv.DictWriter(sys.stdout, fieldnames=METRICS_CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    details = []
-    for i, cfg in enumerate(configs, start=1):
-        print(f"[{i}/{len(configs)}] {cfg.statistic} n={cfg.n} K={cfg.K} M={cfg.M}",
-              file=sys.stderr, flush=True)
-        metrics = run_replications(cfg, workers=args.workers)
-        writer.writerow(metrics.csv_row())
-        sys.stdout.flush()
-        details.append(metrics.json_detail())
+    # the detail file is opened before the first config runs, so a bad --out fails first
+    with _replacing(args.out) if args.out else nullcontext() as detail_file:
+        writer = csv.DictWriter(sys.stdout, fieldnames=METRICS_CSV_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        details = []
+        for i, cfg in enumerate(configs, start=1):
+            print(f"[{i}/{len(configs)}] {cfg.statistic} n={cfg.n} K={cfg.K} M={cfg.M}",
+                  file=sys.stderr, flush=True)
+            metrics = run_replications(cfg, workers=args.workers)
+            writer.writerow(metrics.csv_row())
+            sys.stdout.flush()
+            details.append(metrics.json_detail())
+        if detail_file is not None:
+            json.dump(details, detail_file, indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(details, fh, indent=2)
         print(f"wrote per-replication detail to {args.out}", file=sys.stderr)
     return 0
 

@@ -5,26 +5,32 @@ with a fresh master seed derived from (master_seed, replication ordinal), so
 only the subsampling randomness varies across replications. Replication m's
 outcome depends on (master_seed, m) alone, never on execution order.
 
-_replicate(path, cfg, m) is the one replication task: run_replications maps
-it over m in-process, or through a pool, with the same arguments. It opens the
-dataset through a one-entry cache, so each process that runs replications maps
-the dataset once per call and reads every replication it runs through that
-one map; a pool process opens it in its first task of a call, so an open error
-reaches the caller as that task's StoreError at every worker count. A pool
-process's RSS therefore counts once each dataset page it has touched; those
-are shared file pages, not heap.
+_replicate(path, cfg, m) runs replication m, with the same arguments
+in-process and in a pool process. It opens the dataset through a one-entry
+cache, so each process that runs replications maps the dataset once per call
+and reads every replication it runs through that one map; a pool process
+opens it in its first replication of a call, so an open error reaches the
+caller as a StoreError at every worker count. A pool process's RSS therefore
+counts once each dataset page it has touched; those are shared file pages,
+not heap.
 
 A process keeps one replication pool. It starts on the first pooled call and
 is reused by every later pooled call with the same process count; a call with
 another count, or a call in a forked child, shuts the old pool down before it
-starts a new one. Every call, in-process or pooled, empties each process's
-cache before it returns, so no process maps a dataset between calls: a
-generated temp file is unmapped once the call returns, and a file replaced
-between calls is opened afresh. An error or an interrupt during a pooled call
-shuts the pool down, cancelling the replications not yet started; the
-interpreter's exit joins the pool, and pool processes exit once their parent
-is gone, even when it was killed. The pool serves one call at a time: two
-threads must not run pooled calls at once.
+starts a new one. A pooled call submits one task per process, _run_share,
+which takes replication ordinals from a counter the pool shares until none is
+left; the caller merges the shares in m order. A failing replication uses up
+the counter, so no process takes another m, and the call raises the error of
+the smallest failing m: every smaller m was handed out and ran, so that is the
+error an in-process run raises. Every call, in-process or pooled, empties the
+cache of each process that ran replications before it returns, so no process
+maps a dataset between calls: a generated temp file is unmapped once the call
+returns, and a file replaced between calls is opened afresh. An error or an
+interrupt during a pooled call uses up the counter and shuts the pool down, so
+each process finishes at most the replication it holds; the interpreter's exit
+joins the pool, and pool processes exit once their parent is gone, even when
+it was killed. The pool serves one call at a time: two threads must not run
+pooled calls at once.
 """
 from __future__ import annotations
 
@@ -38,7 +44,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 from typing import Any
@@ -258,10 +264,10 @@ def _parse_generator_spec(spec: dict) -> tuple[int, int, np.ndarray]:
 # this process's map of the dataset it runs replications on
 _open_cached = lru_cache(maxsize=1)(open_dataset)
 
-# this process's replication pool as (creating pid, process count, pool)
-_shared_pool: tuple[int, int, ProcessPoolExecutor] | None = None
-# in a pool process: where every process of the pool meets to drop its map
-_release_barrier = None
+# this process's replication pool as (creating pid, process count, pool, counter)
+_shared_pool: tuple[int, int, ProcessPoolExecutor, Any] | None = None
+# in a pool process: how many replications of the running call its pool has handed out
+_taken = None
 
 
 def _replicate(path: str | Path, cfg: ExperimentConfig, m: int):
@@ -286,43 +292,57 @@ def _exit_with_parent() -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
-def _start_worker(barrier) -> None:
-    """Pool initializer: keep the pool's release barrier and watch the parent."""
-    global _release_barrier
-    _release_barrier = barrier
+def _start_worker(taken) -> None:
+    """Pool initializer: keep the pool's replication counter and watch the parent."""
+    global _taken
+    _taken = taken
     _exit_with_parent()
 
 
-def _release_map() -> None:
-    """Pool task: drop this process's map, then wait until every process has.
+def _take(M: int) -> int | None:
+    """The next replication ordinal of the running call, or None once M are out."""
+    with _taken.get_lock():
+        if _taken.value >= M:
+            return None
+        _taken.value += 1
+        return _taken.value
 
-    No process can take a second release task before all have taken one, so
-    n_workers of them reach every process of the pool.
+
+def _run_share(path: str | Path, cfg: ExperimentConfig):
+    """Pool task: run replications of cfg taken from the pool's counter until
+    none is left, as (outcomes, failure).
+
+    failure is None, or (m, error) for the replication that raised; it also
+    uses up the counter, so no process of the pool takes another m. The
+    process's map is dropped on return.
     """
-    _open_cached.cache_clear()
-    _release_barrier.wait()
+    reps = []
+    try:
+        while (m := _take(cfg.M)) is not None:
+            try:
+                reps.append(_replicate(path, cfg, m))
+            except Exception as exc:
+                _taken.value = cfg.M
+                return reps, (m, exc)
+    finally:
+        _open_cached.cache_clear()
+    return reps, None
 
 
-def _release_maps(pool: ProcessPoolExecutor, n_workers: int) -> None:
-    for future in [pool.submit(_release_map) for _ in range(n_workers)]:
-        future.result()
-
-
-def _pool(n_workers: int) -> ProcessPoolExecutor:
-    """This process's pool of n_workers processes, started if it has none."""
+def _pool(n_workers: int) -> tuple[ProcessPoolExecutor, Any]:
+    """(pool, counter) of this process's pool of n_workers processes, started
+    if it has none."""
     global _shared_pool
     key = (os.getpid(), n_workers)
     if _shared_pool is not None and _shared_pool[:2] != key:
         # shut down first, so no manager thread is alive when the new pool forks
         _discard_pool()
     if _shared_pool is None:
+        taken = multiprocessing.Value("q", 0)
         pool = ProcessPoolExecutor(max_workers=n_workers, initializer=_start_worker,
-                                   initargs=(multiprocessing.Barrier(n_workers),))
-        _shared_pool = (*key, pool)
-        # a spawn or forkserver pool starts a process per task until a result
-        # comes back; no release task returns before n_workers have started
-        _release_maps(pool, n_workers)
-    return _shared_pool[2]
+                                   initargs=(taken,))
+        _shared_pool = (*key, pool, taken)
+    return _shared_pool[2:]
 
 
 def _discard_pool() -> None:
@@ -375,18 +395,24 @@ def run_replications(cfg: ExperimentConfig, *, workers: int | None = 1) -> Repli
 
 def _collect_replications(cfg: ExperimentConfig, path: str | Path, n_workers: int):
     """Every replication's outcome, in m order, from n_workers processes."""
-    ms = range(1, cfg.M + 1)
-    task = partial(_replicate, path, cfg)
     if n_workers <= 1:
         try:
-            return list(map(task, ms))
+            return [_replicate(path, cfg, m) for m in range(1, cfg.M + 1)]
         finally:
             _open_cached.cache_clear()
+    pool, taken = _pool(n_workers)
     try:
-        pool = _pool(n_workers)
-        reps = list(pool.map(task, ms, chunksize=max(1, cfg.M // (8 * n_workers))))
-        _release_maps(pool, n_workers)
+        taken.value = 0
+        shares = [future.result() for future in
+                  [pool.submit(_run_share, path, cfg) for _ in range(n_workers)]]
+        failures = [failure for _, failure in shares if failure is not None]
+        if failures:
+            # every m below the first failure was handed out and ran, so the
+            # smallest failing m is the one an in-process run stops at
+            raise min(failures, key=lambda failure: failure[0])[1]
     except BaseException:
+        # each process stops after the replication it runs
+        taken.value = cfg.M
         _discard_pool()
         raise
-    return reps
+    return sorted(chain.from_iterable(reps for reps, _ in shares))

@@ -6,6 +6,7 @@ import tempfile
 
 import pytest
 
+from subjack import cli
 from subjack.cli import main
 from subjack.estimator import EstimateReport
 from subjack.simulate import generate_bivariate_normal
@@ -232,6 +233,42 @@ def test_simulate_cli_bad_second_spec_fails_before_running(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "missing field 'seed'" in err
+
+
+def test_simulate_cli_out_in_a_missing_directory_fails_before_running(capsys, tmp_path,
+                                                                     monkeypatch):
+    runs = []
+    monkeypatch.setattr(cli, "run_replications", lambda cfg, *, workers: runs.append(cfg))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"dataset": {"rows": 2000, "seed": 1},
+                                    "statistic": "mean:0", "n": 20, "K": 5, "M": 2}))
+    code, out, err = _run(capsys, ["simulate", "--config", str(cfg_path), "--workers", "1",
+                                   "--out", str(tmp_path / "missing" / "detail.json")])
+    assert code == 2
+    assert (out, runs) == ("", [])
+    assert err.startswith("subjack: error: [Errno 2] No such file or directory")
+
+
+@pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()],
+                         ids=["error", "interrupt"])
+def test_simulate_cli_failed_out_write_leaves_an_existing_file(capsys, tmp_path, monkeypatch,
+                                                               cli_dataset, error):
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write("[")
+        raise error
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"dataset": cli_dataset, "statistic": "mean:0",
+                                    "n": 20, "K": 5, "M": 2}))
+    detail_path = tmp_path / "detail.json"
+    detail_path.write_text("earlier detail")
+    code, out, _ = _run(capsys, ["simulate", "--config", str(cfg_path), "--workers", "1",
+                                 "--out", str(detail_path)])
+    assert code == 2
+    assert len(out.splitlines()) == 2
+    assert detail_path.read_text() == "earlier detail"
+    assert sorted(tmp_path.iterdir()) == [cfg_path, detail_path]
 
 
 def test_simulate_cli_negative_master_seed_fails_before_running(capsys, tmp_path):

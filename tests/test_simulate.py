@@ -352,6 +352,87 @@ def test_pooled_call_after_a_failed_one_succeeds(tmp_path, monkeypatch):
     assert [(pool.size, pool.shut) for pool in pools] == [(2, True), (2, False)]
 
 
+def _patch_replicate(monkeypatch, log, first_held, act):
+    """Patch simulate._replicate to log "pid m" on each call and run act(m).
+
+    In a pool process it then holds each m >= first_held until the pool's
+    counter is used up, so how many replications run does not depend on
+    timing. Returns arm(), which bounds the holds of the next call by 10 s.
+    """
+    real_replicate = simulate._replicate
+    deadline = [0.0]
+
+    def replicate(path, cfg, m):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {m}\n")
+        act(m)
+        if m >= first_held and simulate._taken is not None:
+            while simulate._taken.value < cfg.M and time.monotonic() < deadline[0]:
+                time.sleep(0.001)
+        return real_replicate(path, cfg, m)
+
+    def arm():
+        log.unlink(missing_ok=True)
+        deadline[0] = time.monotonic() + 10.0
+
+    monkeypatch.setattr(simulate, "_replicate", replicate)
+    return arm
+
+
+def _ran(log):
+    """(pids, sorted ordinals) of the replications _patch_replicate logged."""
+    runs = [line.split() for line in log.read_text().splitlines()]
+    return {pid for pid, _ in runs}, sorted(int(m) for _, m in runs)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool processes see the patches only when forked")
+def test_pooled_call_raises_the_first_failure_and_takes_no_more(sim_dataset, tmp_path,
+                                                               monkeypatch):
+    cfg = ExperimentConfig(dataset=sim_dataset, statistic="corr:0,1", n=20, K=5, M=40)
+    log = tmp_path / "ran"
+
+    def fail_3_and_5(m):
+        if m in (3, 5):
+            raise ValueError(f"replication {m} failed")
+
+    arm = _patch_replicate(monkeypatch, log, 6, fail_3_and_5)
+    for workers in (1, 2, 3):
+        arm()
+        with pytest.raises(ValueError, match="^replication 3 failed$"):
+            run_replications(cfg, workers=workers)
+        pids, ms = _ran(log)
+        if workers == 1:
+            assert (pids, ms) == ({str(os.getpid())}, [1, 2, 3])
+            continue
+        assert str(os.getpid()) not in pids
+        assert ms[:3] == [1, 2, 3] and len(ms) == len(set(ms))
+        # 3 and 5 stop the processes that ran them, and each other process
+        # finishes at most the one m > 5 it held when the counter was used up
+        assert len(ms) <= 5 + (workers - 2) < cfg.M
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool processes see the patches only when forked")
+def test_interrupted_pooled_call_takes_no_more(sim_dataset, tmp_path, monkeypatch):
+    cfg = ExperimentConfig(dataset=sim_dataset, statistic="corr:0,1", n=20, K=5, M=40)
+    log = tmp_path / "ran"
+
+    def interrupt_at_4(m):
+        if m == 4:
+            os.kill(os.getppid(), signal.SIGINT)
+
+    arm = _patch_replicate(monkeypatch, log, 5, interrupt_at_4)
+    arm()
+    with pytest.raises(KeyboardInterrupt):
+        run_replications(cfg, workers=2)
+    _, ms = _ran(log)
+    # each process finishes at most the one replication it held when the
+    # interrupt used up the counter
+    assert ms[:4] == [1, 2, 3, 4] and len(ms) == len(set(ms))
+    assert len(ms) <= 4 + 2 < cfg.M
+
+
 def test_generator_spec_is_parsed_once(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     _record_calls(monkeypatch, simulate, "_parse_generator_spec", tmp_path / "parses")
@@ -466,6 +547,56 @@ def test_simulate_stops_on_signal_with_one_error_line(tmp_path, signum):
         except ProcessLookupError:
             pass
         proc.stderr.close()
+
+
+_START_METHOD_SCRIPT = """
+import multiprocessing
+import sys
+
+from subjack.simulate import ExperimentConfig, run_replications
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1], force=True)
+    for seed in (1, 2):
+        cfg = ExperimentConfig(dataset=sys.argv[2], statistic="corr:0,1", n=20, K=8, M=6,
+                               master_seed=seed)
+        pooled = run_replications(cfg, workers=2)
+        print(repr(pooled.per_rep) == repr(run_replications(cfg, workers=1).per_rep))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_spawn_and_forkserver_pools_match_in_process(sim_dataset, tmp_path, method):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    script = tmp_path / "pooled.py"
+    script.write_text(_START_METHOD_SCRIPT)
+    src = os.path.dirname(os.path.dirname(simulate.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, str(script), method, sim_dataset], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    pgid = proc.pid
+    try:
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out, err) == (0, b"True\nTrue\n", b"")
+        deadline = time.monotonic() + 10.0
+        while True:
+            try:
+                os.killpg(pgid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a child outlived the pooled calls"
+            time.sleep(0.1)
+    finally:
+        try:
+            os.killpg(pgid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.kill()
+        proc.wait()
 
 
 def test_failed_generation_leaves_no_temp_file(tmp_path, monkeypatch):

@@ -14,7 +14,8 @@ The grid covers:
   * the bytes of every file it generates, and of that CSV converted with
     both transforms: 150,000 rows, over two full 65536-row blocks, with
     repeated integers and padded, whitespace-only and empty cells;
-  * one `subjack simulate` CSV row and its --out JSON;
+  * one `subjack simulate` CSV row and its --out JSON, run in-process; the
+    census exits with an error unless a 2-process pool writes the same bytes;
   * the mse column of bench_sampling (its seconds column is a timing).
 
 Two checkouts that print the same digest write the same bytes on the grid.
@@ -92,19 +93,26 @@ def estimate_text(path: Path, stat: str, n: int, K: int, seed: int, center: str)
 
 
 def simulate_bytes(workdir: Path) -> str:
+    """What `subjack simulate` writes at --workers 1; SystemExit unless
+    --workers 2 writes the same bytes."""
     config = {
         "dataset": {"rows": 20_000, "seed": 11, "sigma": SIGMA}, "statistic": "corr:0,1",
         "n": 50, "K": 200, "M": 20, "master_seed": 9, "theta_true": 2 / 5**0.5,
     }
     config_path, detail_path = workdir / "config.json", workdir / "detail.json"
     config_path.write_text(json.dumps(config))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli_main(["simulate", "--config", str(config_path), "--out", str(detail_path),
-                         "--workers", "1"])
-    if code != 0:
-        raise SystemExit(f"byte census: simulate exited {code}")
-    return out.getvalue() + detail_path.read_text()
+    written = []
+    for workers in ("1", "2"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli_main(["simulate", "--config", str(config_path), "--out", str(detail_path),
+                             "--workers", workers])
+        if code != 0:
+            raise SystemExit(f"byte census: simulate --workers {workers} exited {code}")
+        written.append(out.getvalue() + detail_path.read_text())
+    if written[1] != written[0]:
+        raise SystemExit("byte census: simulate --workers 2 wrote other bytes than --workers 1")
+    return written[0]
 
 
 def census() -> tuple[int, str]:
