@@ -6,8 +6,9 @@ domain error. SIGTERM takes SIGINT's path: the command unwinds, each of
 simulate's workers finishes at most the replication it holds and takes no
 other, and it exits 2 with one error line. Every file a command writes
 (convert's and generate's dataset, simulate's --out) is built under a temp
-name beside its path and renamed onto it when complete: a path in a missing
-directory fails before the command's main work, and an error or an interrupt
+name beside its path and renamed onto it when complete (store.replacing): a
+path in a missing directory, a directory at the path, or convert's input CSV
+at --out fails before the command's main work, and an error or an interrupt
 leaves an existing file as it was.
 
 simulate starts its process pool on the first config that runs pooled and
@@ -21,11 +22,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import signal
 import sys
-from contextlib import contextmanager, nullcontext
-from pathlib import Path
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .simulate import (
     generate_bivariate_normal,
     run_replications,
 )
-from .store import StoreError, convert_csv
+from .store import StoreError, convert_csv, replacing
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,21 +128,6 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-@contextmanager
-def _replacing(path):
-    """A text file opened under a temp name beside path, renamed onto path when
-    the block completes and removed on any exception, leaving path as it was."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    try:
-        with open(tmp, "x") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _cmd_simulate(args) -> int:
     with open(args.config) as fh:
         raw = json.load(fh)
@@ -151,7 +135,7 @@ def _cmd_simulate(args) -> int:
     configs = [ExperimentConfig.from_dict(entry) for entry in entries]
 
     # the detail file is opened before the first config runs, so a bad --out fails first
-    with _replacing(args.out) if args.out else nullcontext() as detail_file:
+    with replacing(args.out, "t") if args.out else nullcontext() as detail_file:
         writer = csv.DictWriter(sys.stdout, fieldnames=METRICS_CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
         details = []

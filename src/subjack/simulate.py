@@ -113,13 +113,10 @@ def generate_bivariate_normal(
 @contextmanager
 def temp_dataset(seed: int, n_rows: int, sigma):
     """Yield the path of a generated temp dataset, unlinked on every exit."""
-    fd, path = tempfile.mkstemp(suffix=".sjds")
-    os.close(fd)
-    try:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "generated.sjds")
         generate_bivariate_normal(seed, n_rows, sigma, path)
         yield path
-    finally:
-        Path(path).unlink(missing_ok=True)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,10 @@ File layout (little-endian):
     24      -     N*p float64 values, row-major
 
 Row i starts at byte 24 + i*p*8, so any row is reachable with one seek.
-Other versions and dtype codes are rejected on open. write_blocks, the only
-writer, renames a finished temp file onto its target, so a failed write leaves
-the target as it was.
+Other versions and dtype codes are rejected on open. replacing, the one
+policy for every file written (write_blocks' datasets, simulate's --out),
+renames a finished temp file onto its target, so a failed write leaves the
+target as it was, and a directory at the target fails before any write.
 
 open_dataset checks and maps one descriptor, so a file renamed onto the path
 meanwhile is never mapped unchecked. The map is read-only and advised random
@@ -36,10 +37,12 @@ row-by-row loop.
 from __future__ import annotations
 
 import csv
+import errno
 import math
 import mmap
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import compress, islice
 from pathlib import Path
@@ -146,38 +149,49 @@ def open_dataset(path: str | Path) -> DatasetHandle:
     return DatasetHandle(np.ndarray(shape, _ROW_DTYPE, buffer=mapping, offset=HEADER_SIZE))
 
 
-def write_blocks(path: str | Path, col_count: int, blocks) -> DatasetHeader:
-    """Write (m, col_count) row blocks to path, each before the next is pulled.
+@contextmanager
+def replacing(path: str | Path, mode: str):
+    """Yield a new file under a temp name beside path, opened "x" + mode ("b", "t").
 
-    The file is built under a temp name beside path and renamed onto it once
-    complete; on any exception, KeyboardInterrupt included, the temp file is
-    removed and path is untouched.
+    The file is renamed onto path when the block completes; on any exception,
+    KeyboardInterrupt included, it is removed and path is left as it was. A
+    directory at path raises IsADirectoryError before the file is opened.
     """
-    if col_count < 1:
-        raise ValueError("col_count must be >= 1")
     path = Path(path)
-    # "x" rather than mkstemp, so the file gets open()'s umask-derived mode, not 0600
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    # 50 characters (<= 200 bytes of UTF-8) keep the temp name legal wherever the
+    # target's is; "x", not mkstemp, so the file gets the umask's mode, not 0600
+    tmp = path.with_name(f".{path.name[:50]}.{os.urandom(8).hex()}.tmp")
     try:
-        with open(tmp, "xb") as fh:
-            fh.write(DatasetHeader(row_count=0, col_count=col_count).pack())
-            row_count = 0
-            for block in blocks:
-                arr = np.ascontiguousarray(block, dtype=_ROW_DTYPE)
-                if arr.ndim != 2 or arr.shape[1] != col_count:
-                    raise ValueError(f"block must be 2-d with {col_count} columns")
-                fh.write(arr)
-                row_count += arr.shape[0]
-                del block, arr  # free this block before the next is built
-            if row_count < 1:
-                raise StoreError("no rows written")
-            header = DatasetHeader(row_count=row_count, col_count=col_count)
-            fh.seek(0)
-            fh.write(header.pack())
+        with open(tmp, "x" + mode) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_blocks(path: str | Path, col_count: int, blocks) -> DatasetHeader:
+    """Write (m, col_count) row blocks to path through replacing, each block
+    before the next is pulled."""
+    if col_count < 1:
+        raise ValueError("col_count must be >= 1")
+    with replacing(path, "b") as fh:
+        fh.write(DatasetHeader(row_count=0, col_count=col_count).pack())
+        row_count = 0
+        for block in blocks:
+            arr = np.ascontiguousarray(block, dtype=_ROW_DTYPE)
+            if arr.ndim != 2 or arr.shape[1] != col_count:
+                raise ValueError(f"block must be 2-d with {col_count} columns")
+            fh.write(arr)
+            row_count += arr.shape[0]
+            del block, arr  # free this block before the next is built
+        if row_count < 1:
+            raise StoreError("no rows written")
+        header = DatasetHeader(row_count=row_count, col_count=col_count)
+        fh.seek(0)
+        fh.write(header.pack())
     return header
 
 
@@ -213,7 +227,8 @@ def convert_csv(
     float() rejects, and nan or +-inf, is an error, unless an earlier selected
     cell of its row is empty. The error names the first bad row and, within
     it, the first bad selected column. With transform="signed_log" each
-    retained value is mapped through signed_log.
+    retained value is mapped through signed_log. An out_path that is the CSV,
+    or a link to it, is refused before the header is read.
 
     Rows are converted _BLOCK_ROWS at a time, a column at a time. The file
     and the error texts are what a row-by-row loop gives;
@@ -230,6 +245,12 @@ def convert_csv(
     except OSError as exc:
         raise StoreError(f"cannot read CSV: {exc}") from exc
     with fh:
+        try:
+            same = os.path.samestat(os.fstat(fh.fileno()), os.stat(out_path))
+        except FileNotFoundError:  # nothing at out_path yet
+            same = False
+        if same:
+            raise StoreError(f"{csv_path}: the output path {out_path} is this CSV")
         reader = csv.reader(fh)
         try:
             names = next(reader)

@@ -2,11 +2,12 @@ import csv
 import io
 import json
 import math
+import os
 import tempfile
 
 import pytest
 
-from subjack import cli
+from subjack import cli, simulate
 from subjack.cli import main
 from subjack.estimator import EstimateReport
 from subjack.simulate import generate_bivariate_normal
@@ -173,6 +174,84 @@ def test_convert_reader_error_exit_code(capsys, tmp_path):
     assert err.startswith("subjack: error: field larger than field limit")
     assert "Traceback" not in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("alias", ["same", "relative", "hardlink", "symlink"])
+def test_convert_refuses_its_input_csv_as_out(capsys, tmp_path, alias):
+    csv_path = tmp_path / "in.csv"
+    csv_path.write_text("x,y\n1,4\n2,5\n")
+    before = csv_path.read_bytes()
+    out_path = {"same": csv_path, "relative": tmp_path / "." / "in.csv",
+                "hardlink": tmp_path / "hard.csv", "symlink": tmp_path / "sym.csv"}[alias]
+    if alias == "hardlink":
+        os.link(csv_path, out_path)
+    elif alias == "symlink":
+        out_path.symlink_to(csv_path)
+    listing = sorted(tmp_path.iterdir())
+    code, out, err = _run(capsys, ["convert", "--csv", str(csv_path), "--columns", "x,y",
+                                   "--out", str(out_path)])
+    assert code == 2
+    assert out == ""
+    assert err == f"subjack: error: {csv_path}: the output path {out_path} is this CSV\n"
+    assert csv_path.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == listing
+
+
+def _generate_pulls(monkeypatch):
+    """Wrap generate's blocks so each one pulled is counted in the returned list."""
+    pulls = []
+    real_write_blocks = simulate.write_blocks
+
+    def counting_write_blocks(path, col_count, blocks):
+        def counted():
+            for block in blocks:
+                pulls.append(len(block))
+                yield block
+
+        return real_write_blocks(path, col_count, counted())
+
+    monkeypatch.setattr(simulate, "write_blocks", counting_write_blocks)
+    return pulls
+
+
+@pytest.mark.parametrize("command", ["generate", "convert", "simulate"])
+def test_directory_at_out_fails_before_any_work(capsys, tmp_path, monkeypatch, command):
+    target = tmp_path / "target"
+    target.mkdir()
+    (target / "kept.txt").write_text("kept")
+    runs = []
+    monkeypatch.setattr(cli, "run_replications", lambda cfg, *, workers: runs.append(cfg))
+    pulls = _generate_pulls(monkeypatch)
+    csv_path = tmp_path / "in.csv"
+    csv_path.write_text("x,y\n1,4\n2,5\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"dataset": {"rows": 2000, "seed": 1},
+                                    "statistic": "mean:0", "n": 20, "K": 5, "M": 2}))
+    argv = {
+        "generate": ["generate", "--n-rows", "1000", "--sigma", "1,0,0,1", "--seed", "1"],
+        "convert": ["convert", "--csv", str(csv_path), "--columns", "x,y"],
+        "simulate": ["simulate", "--config", str(cfg_path), "--workers", "1"],
+    }[command]
+    listing = sorted(tmp_path.rglob("*"))
+    code, out, err = _run(capsys, argv + ["--out", str(target)])
+    assert code == 2
+    assert err == f"subjack: error: [Errno 21] Is a directory: '{target}'\n"
+    assert (out, runs, pulls) == ("", [], [])
+    assert sorted(tmp_path.rglob("*")) == listing
+
+
+def test_simulate_cli_out_with_the_longest_legal_name(capsys, tmp_path, cli_dataset):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"dataset": cli_dataset, "statistic": "mean:0",
+                                    "n": 20, "K": 5, "M": 2}))
+    detail_path = tmp_path / ("d" * 250 + ".json")
+    detail_path.touch()  # the name itself is legal here
+    code, out, _ = _run(capsys, ["simulate", "--config", str(cfg_path), "--workers", "1",
+                                 "--out", str(detail_path)])
+    assert code == 0
+    assert len(out.splitlines()) == 2
+    assert len(json.loads(detail_path.read_text())[0]["per_rep"]) == 2
+    assert sorted(tmp_path.iterdir()) == [cfg_path, detail_path]
 
 
 def test_estimate_zero_subsamples_exit_code(capsys, cli_dataset):

@@ -302,6 +302,16 @@ def test_written_file_has_plain_open_mode(tmp_path):
     assert os.stat(path).st_mode == os.stat(plain).st_mode
 
 
+@pytest.mark.parametrize("name", ["d" * 245 + ".sjds", "\u00e9" * 125 + ".sjds"],
+                         ids=["250-ascii", "255-bytes-utf8"])
+def test_longest_legal_target_name_is_written(tmp_path, name):
+    path = tmp_path / name
+    path.touch()  # the name itself is legal here
+    write_blocks(path, 1, [np.ones((3, 1))])
+    assert open_dataset(path).row_count == 3
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
 def test_signed_log_known_values():
     assert signed_log(math.e) == pytest.approx(1.0, abs=1e-15)
     assert signed_log(-math.e) == pytest.approx(-1.0, abs=1e-15)
