@@ -7,9 +7,10 @@ simulate's workers finishes at most the replication it holds and takes no
 other, and it exits 2 with one error line. Every file a command writes
 (convert's and generate's dataset, simulate's --out) is built under a temp
 name beside its path and renamed onto it when complete (store.replacing): a
-path in a missing directory, a directory at the path, or convert's input CSV
-at --out fails before the command's main work, and an error or an interrupt
-leaves an existing file as it was.
+path in a missing directory, a directory at the path, or an input at --out
+(convert's CSV, simulate's config or a dataset path it names, by any link)
+fails before the command's main work, and an error or an interrupt leaves an
+existing file as it was.
 
 simulate starts its process pool on the first config that runs pooled and
 reuses it for every later config with the same process count; its workers
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import signal
 import sys
 from contextlib import nullcontext
@@ -37,7 +39,7 @@ from .simulate import (
     generate_bivariate_normal,
     run_replications,
 )
-from .store import StoreError, convert_csv, replacing
+from .store import StoreError, convert_csv, refuse_as_output, replacing
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,8 +133,16 @@ def _cmd_estimate(args) -> int:
 def _cmd_simulate(args) -> int:
     with open(args.config) as fh:
         raw = json.load(fh)
+        config_stat = os.fstat(fh.fileno())
     entries = raw if isinstance(raw, list) else [raw]
+    if not entries:
+        raise ValueError("config list is empty")
     configs = [ExperimentConfig.from_dict(entry) for entry in entries]
+    if args.out:
+        refuse_as_output(args.config, config_stat, args.out, "config")
+        for cfg in configs:
+            if cfg._spec is None:
+                refuse_as_output(cfg.dataset, os.stat(cfg.dataset), args.out, "dataset")
 
     # the detail file is opened before the first config runs, so a bad --out fails first
     with replacing(args.out, "t") if args.out else nullcontext() as detail_file:
@@ -187,8 +197,7 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("subjack: error: interrupted", file=sys.stderr)
         return 2
-    except (StoreError, DomainEvalError, ValueError, IndexError, OSError,
-            json.JSONDecodeError, csv.Error) as exc:
+    except (StoreError, DomainEvalError, ValueError, IndexError, OSError, csv.Error) as exc:
         print(f"subjack: error: {exc}", file=sys.stderr)
         return 2
     finally:

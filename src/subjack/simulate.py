@@ -5,14 +5,13 @@ with a fresh master seed derived from (master_seed, replication ordinal), so
 only the subsampling randomness varies across replications. Replication m's
 outcome depends on (master_seed, m) alone, never on execution order.
 
-_replicate(path, cfg, m) runs replication m, with the same arguments
-in-process and in a pool process. It opens the dataset through a one-entry
-cache, so each process that runs replications maps the dataset once per call
-and reads every replication it runs through that one map; a pool process
-opens it in its first replication of a call, so an open error reaches the
-caller as a StoreError at every worker count. A pool process's RSS therefore
-counts once each dataset page it has touched; those are shared file pages,
-not heap.
+_replicate(handle, cfg, m) runs replication m on an open DatasetHandle, the
+same in-process and in a pool process. An in-process call opens the dataset
+once, before replication 1, and a pool process once per call, in the first
+replication it takes; each reads every replication it runs through that one
+map, and an open error reaches the caller as the same StoreError at every
+worker count. A pool process's RSS therefore counts once each dataset page it
+has touched; those are shared file pages, not heap.
 
 A process keeps one replication pool. It starts on the first pooled call and
 is reused by every later pooled call with the same process count; a call with
@@ -22,14 +21,14 @@ which takes replication ordinals from a counter the pool shares until none is
 left; the caller merges the shares in m order. A failing replication uses up
 the counter, so no process takes another m, and the call raises the error of
 the smallest failing m: every smaller m was handed out and ran, so that is the
-error an in-process run raises. Every call, in-process or pooled, empties the
-cache of each process that ran replications before it returns, so no process
-maps a dataset between calls: a generated temp file is unmapped once the call
-returns, and a file replaced between calls is opened afresh. An error or an
-interrupt during a pooled call uses up the counter and shuts the pool down, so
-each process finishes at most the replication it holds; the interpreter's exit
-joins the pool, and pool processes exit once their parent is gone, even when
-it was killed. The pool serves one call at a time: two threads must not run
+error an in-process run raises. The handle is a local of the in-process call
+or of the share that opened it, so the map goes when that returns and no
+process maps a dataset between calls: a generated temp file is unmapped once
+the call returns, and a file replaced between calls is opened afresh. An
+error or an interrupt during a pooled call uses up the counter and shuts the
+pool down, so each process finishes at most the replication it holds; the
+interpreter's exit joins the pool, and pool processes exit once their parent
+is gone, even when it was killed. The pool serves one call at a time: two threads must not run
 pooled calls at once.
 """
 from __future__ import annotations
@@ -44,7 +43,6 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 from typing import Any
@@ -54,7 +52,7 @@ import numpy as np
 from .estimator import confidence_interval
 from .pipeline import check_run, run_estimate
 from .sampling import REPLICATION_SEED_OFFSET, checked_count, checked_seed, subsample_seed
-from .store import DatasetHeader, open_dataset, write_blocks
+from .store import DatasetHandle, DatasetHeader, open_dataset, write_blocks
 
 _GEN_CHUNK = 1 << 18
 
@@ -258,19 +256,16 @@ def _parse_generator_spec(spec: dict) -> tuple[int, int, np.ndarray]:
     return checked_seed(seed), rows, checked_sigma(sigma)
 
 
-# this process's map of the dataset it runs replications on
-_open_cached = lru_cache(maxsize=1)(open_dataset)
-
 # this process's replication pool as (creating pid, process count, pool, counter)
 _shared_pool: tuple[int, int, ProcessPoolExecutor, Any] | None = None
 # in a pool process: how many replications of the running call its pool has handed out
 _taken = None
 
 
-def _replicate(path: str | Path, cfg: ExperimentConfig, m: int):
-    """(m, theta_sos, theta_jds, se) of replication m of cfg on the dataset at path."""
+def _replicate(handle: DatasetHandle, cfg: ExperimentConfig, m: int):
+    """(m, theta_sos, theta_jds, se) of replication m of cfg on the open dataset."""
     report = run_estimate(
-        _open_cached(path), cfg.statistic, cfg.n, cfg.K, replication_seed(cfg.master_seed, m),
+        handle, cfg.statistic, cfg.n, cfg.K, replication_seed(cfg.master_seed, m),
         alpha=cfg.alpha,
     )
     return m, report.theta_sos, report.theta_jds, report.se
@@ -309,20 +304,21 @@ def _run_share(path: str | Path, cfg: ExperimentConfig):
     """Pool task: run replications of cfg taken from the pool's counter until
     none is left, as (outcomes, failure).
 
-    failure is None, or (m, error) for the replication that raised; it also
-    uses up the counter, so no process of the pool takes another m. The
-    process's map is dropped on return.
+    The dataset is opened in the first replication taken, so a process that
+    takes none maps nothing, and the map goes when the share returns. failure
+    is None, or (m, error) for the replication that raised, an open error
+    included; it also uses up the counter, so no process of the pool takes
+    another m.
     """
-    reps = []
-    try:
-        while (m := _take(cfg.M)) is not None:
-            try:
-                reps.append(_replicate(path, cfg, m))
-            except Exception as exc:
-                _taken.value = cfg.M
-                return reps, (m, exc)
-    finally:
-        _open_cached.cache_clear()
+    reps, handle = [], None
+    while (m := _take(cfg.M)) is not None:
+        try:
+            if handle is None:
+                handle = open_dataset(path)
+            reps.append(_replicate(handle, cfg, m))
+        except Exception as exc:
+            _taken.value = cfg.M
+            return reps, (m, exc)
     return reps, None
 
 
@@ -393,10 +389,8 @@ def run_replications(cfg: ExperimentConfig, *, workers: int | None = 1) -> Repli
 def _collect_replications(cfg: ExperimentConfig, path: str | Path, n_workers: int):
     """Every replication's outcome, in m order, from n_workers processes."""
     if n_workers <= 1:
-        try:
-            return [_replicate(path, cfg, m) for m in range(1, cfg.M + 1)]
-        finally:
-            _open_cached.cache_clear()
+        handle = open_dataset(path)
+        return [_replicate(handle, cfg, m) for m in range(1, cfg.M + 1)]
     pool, taken = _pool(n_workers)
     try:
         taken.value = 0

@@ -172,6 +172,18 @@ def replacing(path: str | Path, mode: str):
         raise
 
 
+def refuse_as_output(source: str | Path, source_stat: os.stat_result,
+                     out_path: str | Path, kind: str) -> None:
+    """Raise StoreError if out_path is the file source_stat describes, by that
+    name or through any link; nothing at out_path is no clash."""
+    try:
+        same = os.path.samestat(source_stat, os.stat(out_path))
+    except FileNotFoundError:  # nothing at out_path yet
+        same = False
+    if same:
+        raise StoreError(f"{source}: the output path {out_path} is this {kind}")
+
+
 def write_blocks(path: str | Path, col_count: int, blocks) -> DatasetHeader:
     """Write (m, col_count) row blocks to path through replacing, each block
     before the next is pulled."""
@@ -245,12 +257,7 @@ def convert_csv(
     except OSError as exc:
         raise StoreError(f"cannot read CSV: {exc}") from exc
     with fh:
-        try:
-            same = os.path.samestat(os.fstat(fh.fileno()), os.stat(out_path))
-        except FileNotFoundError:  # nothing at out_path yet
-            same = False
-        if same:
-            raise StoreError(f"{csv_path}: the output path {out_path} is this CSV")
+        refuse_as_output(csv_path, os.fstat(fh.fileno()), out_path, "CSV")
         reader = csv.reader(fh)
         try:
             names = next(reader)

@@ -328,6 +328,49 @@ def test_simulate_cli_out_in_a_missing_directory_fails_before_running(capsys, tm
     assert err.startswith("subjack: error: [Errno 2] No such file or directory")
 
 
+@pytest.mark.parametrize("target", ["config", "dataset", "dataset-hardlink", "config-symlink"])
+def test_simulate_cli_refuses_its_inputs_as_out(capsys, tmp_path, monkeypatch, target):
+    runs = []
+    monkeypatch.setattr(cli, "run_replications", lambda cfg, *, workers: runs.append(cfg))
+    data_path = tmp_path / "d.sjds"
+    generate_bivariate_normal(1, 2000, PAPER_SIGMA, data_path)
+    cfg_path = tmp_path / "cfg.json"
+    base = {"statistic": "mean:0", "n": 20, "K": 5, "M": 2}
+    cfg_path.write_text(json.dumps([{**base, "dataset": {"rows": 2000, "seed": 1}},
+                                    {**base, "dataset": str(data_path)}]))
+    out_path = {"config": cfg_path, "dataset": data_path,
+                "dataset-hardlink": tmp_path / "hard.sjds",
+                "config-symlink": tmp_path / "sym.json"}[target]
+    if target == "dataset-hardlink":
+        os.link(data_path, out_path)
+    elif target == "config-symlink":
+        out_path.symlink_to(cfg_path)
+    source, kind = (cfg_path, "config") if target.startswith("config") else (data_path, "dataset")
+    before = cfg_path.read_bytes(), data_path.read_bytes()
+    listing = sorted(tmp_path.iterdir())
+    code, out, err = _run(capsys, ["simulate", "--config", str(cfg_path), "--workers", "1",
+                                   "--out", str(out_path)])
+    assert code == 2
+    assert (out, runs) == ("", [])
+    assert err == f"subjack: error: {source}: the output path {out_path} is this {kind}\n"
+    assert (cfg_path.read_bytes(), data_path.read_bytes()) == before
+    assert sorted(tmp_path.iterdir()) == listing
+
+
+def test_simulate_cli_empty_config_list_fails_before_any_output(capsys, tmp_path, monkeypatch):
+    runs = []
+    monkeypatch.setattr(cli, "run_replications", lambda cfg, *, workers: runs.append(cfg))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("[]")
+    detail_path = tmp_path / "detail.json"
+    code, out, err = _run(capsys, ["simulate", "--config", str(cfg_path),
+                                   "--out", str(detail_path)])
+    assert code == 2
+    assert (out, runs) == ("", [])
+    assert err == "subjack: error: config list is empty\n"
+    assert sorted(tmp_path.iterdir()) == [cfg_path]
+
+
 @pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()],
                          ids=["error", "interrupt"])
 def test_simulate_cli_failed_out_write_leaves_an_existing_file(capsys, tmp_path, monkeypatch,
