@@ -121,10 +121,10 @@ def jackknife_planes(
     mu: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The jackknife kernel on moment planes: planes[i, j, c] is feature i of
-    row j of subsample ks[c], a (q, n, Kc) array, C-contiguous as run_estimate
-    builds it. mu, the (q, Kc) subsample means, defaults to _plane_means.
-    The leave-one-out means are written over the planes, so a float64 planes
-    array passed in is overwritten.
+    row j of subsample ks[c], a (q, n, Kc) array, C-contiguous as
+    _chunk_columns gets it. mu, the (q, Kc) subsample means, defaults to
+    _plane_means. The leave-one-out means are written over the planes, so a
+    float64 planes array passed in is overwritten.
 
     Returns float64 arrays (theta_hat, theta_jds, ss), entry c for subsample
     ks[c]; ks is a sequence, read only to name a failing subsample. A failing

@@ -46,8 +46,9 @@ RNG_ID = "philox4x64/splitmix64-derive/bitmask-reject"
 
 # Ordinal ranges reserved in subsample_seed's k-space so different uses of one
 # master seed can never collide: estimate runs use k = 1..K (K < 2^32),
-# Monte Carlo replications use REPLICATION_SEED_OFFSET + m, benchmark repeats
-# use BENCH_SEED_OFFSET + r.
+# Monte Carlo replications use REPLICATION_SEED_OFFSET + m (M < 2^32), benchmark
+# repeats use BENCH_SEED_OFFSET + r. pipeline.check_run enforces K's bound and
+# simulate.ExperimentConfig M's.
 REPLICATION_SEED_OFFSET = 2**32
 BENCH_SEED_OFFSET = 2**33
 

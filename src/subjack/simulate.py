@@ -51,7 +51,13 @@ import numpy as np
 
 from .estimator import confidence_interval
 from .pipeline import check_run, run_estimate
-from .sampling import REPLICATION_SEED_OFFSET, checked_count, checked_seed, subsample_seed
+from .sampling import (
+    BENCH_SEED_OFFSET,
+    REPLICATION_SEED_OFFSET,
+    checked_count,
+    checked_seed,
+    subsample_seed,
+)
 from .store import DatasetHandle, DatasetHeader, open_dataset, write_blocks
 
 _GEN_CHUNK = 1 << 18
@@ -141,6 +147,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         M = checked_count(self.M, "replication count M")
+        if M >= BENCH_SEED_OFFSET - REPLICATION_SEED_OFFSET:
+            raise ValueError("replication count M must be < 2**32")
         theta = self.theta_true
         # finite: abs(nan) compares False, and an int is compared exactly
         if theta is not None and (isinstance(theta, bool) or not isinstance(theta, numbers.Real)

@@ -1,15 +1,22 @@
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from subjack.estimator import DomainEvalError, aggregate, jackknife_chunk
-from subjack.pipeline import CHUNK_BYTES, draw_chunks, run_estimate
-from subjack.sampling import RNG_ID, draw_with_replacement, subsample_seed
-from subjack.simulate import generate_bivariate_normal
+from subjack.estimator import DomainEvalError, aggregate, jackknife_chunk, summarize
+from subjack.pipeline import CHUNK_BYTES, _chunk_columns, check_run, draw_chunks, run_estimate
+from subjack.sampling import (
+    RNG_ID,
+    draw_chunk,
+    draw_with_replacement,
+    subsample_seed,
+    subsample_seeds,
+)
+from subjack.simulate import generate_bivariate_normal, replication_seed
 from subjack.stats import Statistic, parse_statistic
-from subjack.store import open_dataset, write_matrix
+from subjack.store import DatasetHandle, DatasetHeader, open_dataset, write_matrix
 
 PAPER_SIGMA = [[25.0, 10.0], [10.0, 5.0]]
 
@@ -308,3 +315,69 @@ def test_estimate_past_2_to_the_32_rows_matches_the_chunk_path(huge_sparse_datas
     expected = aggregate(jackknife_chunk(stat, features, range(1, K + 1)), n_rows,
                          master_seed=seed, statistic_name=stat.name, rng_id=RNG_ID)
     assert run_estimate(path, stat, n, K, seed) == expected
+
+
+def test_subsample_count_stays_below_the_replication_ordinals():
+    # K = 2**32 would draw subsample 2**32 + 7 with replication 7's seed
+    header = DatasetHeader(10**6, 2)
+    assert subsample_seed(5, 2**32 + 7) == replication_seed(5, 7)
+    with pytest.raises(ValueError) as exc:
+        check_run(header, "corr:0,1", 50, 2**32, 5, 0.05)
+    assert str(exc.value) == "subsample count K must be < 2**32"
+    # in K's place in the check order: before the master seed
+    with pytest.raises(ValueError) as exc:
+        check_run(header, "corr:0,1", 50, 2**32 + 7, -1, 0.05)
+    assert str(exc.value) == "subsample count K must be < 2**32"
+    assert check_run(header, "corr:0,1", 50, 2**32 - 1, 5, 0.05)[2] == 2**32 - 1
+
+
+def test_gathered_rows_are_freed_before_the_kernel(sigma_dataset, monkeypatch):
+    # a chunk's rows must be gone while the kernel allocates its own arrays
+    from subjack import pipeline
+
+    refs, dead = [], []
+    real_read, real_kernel = DatasetHandle.read_records, pipeline.jackknife_planes
+
+    def read_records(self, indices):
+        batch = real_read(self, indices)
+        refs.append(weakref.ref(batch.rows))
+        return batch
+
+    def kernel(*args, **kwargs):
+        dead.append(refs[-1]() is None)
+        return real_kernel(*args, **kwargs)
+
+    monkeypatch.setattr(DatasetHandle, "read_records", read_records)
+    monkeypatch.setattr(pipeline, "jackknife_planes", kernel)
+    run_estimate(sigma_dataset, "var:0", 500, 200, 7)
+    assert len(dead) == len(refs) > 1
+    assert all(dead)
+
+
+def _report_or_error(estimate):
+    try:
+        return estimate()
+    except DomainEvalError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", [5, 2**64 - 1])
+def test_prefix_of_a_larger_draw_gives_the_smaller_run(sigma_dataset, seed):
+    # subsample k's indices at n are the first n of its indices at 500, so the
+    # first n * K rows of a j-major gather at n = 500 are the run's rows at n
+    handle = open_dataset(sigma_dataset)
+    for K in (1, 2, 53):
+        ks = range(1, K + 1)
+        indices = draw_chunk(subsample_seeds(seed, ks), handle.row_count, 500)
+        gather = handle.read_records(indices.T.ravel()).rows
+        for spec in ("mean:0", "var:0", "sd:1", "kurt:0", "corr:0,1"):
+            stat = parse_statistic(spec)
+            for n in (2, 8, 50, 500):
+                def from_prefix():
+                    columns = _chunk_columns(stat, n, ks, stat.planes(gather[:n * K]))
+                    return summarize(*(c.tolist() for c in columns), n, handle.row_count,
+                                     master_seed=seed, statistic_name=stat.name,
+                                     rng_id=RNG_ID)
+
+                expected = _report_or_error(lambda: run_estimate(handle, stat, n, K, seed))
+                assert _report_or_error(from_prefix) == expected, (spec, K, n)

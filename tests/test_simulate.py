@@ -691,6 +691,18 @@ def test_config_rejects_master_seed_that_would_alias(master):
     assert str(exc.value) == f"master seed must be an integer in [0, 2**64), got {master!r}"
 
 
+def test_replication_count_stays_below_the_benchmark_ordinals():
+    # M = 2**32 + 3 would give a replication bench cell 3's ordinal
+    from subjack.sampling import BENCH_SEED_OFFSET, subsample_seed
+
+    assert replication_seed(5, 2**32 + 3) == subsample_seed(5, BENCH_SEED_OFFSET + 3)
+    base = dict(dataset={"rows": 100, "seed": 1}, statistic="mean:0", n=5, K=5)
+    with pytest.raises(ValueError) as exc:
+        ExperimentConfig(M=2**32, **base)
+    assert str(exc.value) == "replication count M must be < 2**32"
+    assert ExperimentConfig(M=2**32 - 1, **base).M == 2**32 - 1
+
+
 def test_replication_seed_offset_avoids_estimate_ordinals():
     from subjack.sampling import subsample_seed
 
