@@ -51,14 +51,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",")]
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"needs comma-separated integers, got {text!r}") from None
 
 
 def _sigma_matrix(text: str):
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("--sigma needs 4 comma-separated values")
-    return np.array(parts).reshape(2, 2)
+    try:  # a bad number and a count other than 4 both raise ValueError
+        return np.array([float(p) for p in text.split(",")]).reshape(2, 2)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"needs 4 comma-separated numbers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,5 +1,13 @@
 """Synthetic data generation and Monte Carlo evaluation of the estimators.
 
+generate_bivariate_normal runs at about the speed of its normal stream. It
+makes rows _GEN_CHUNK at a time in two buffers that take turns: one helper
+thread fills the next chunk with standard normals, which numpy does without
+the GIL, while the calling thread mixes the current chunk in place and writes
+it. The helper starts with the second chunk and is joined before the call
+returns or raises, so a one-chunk call starts no thread and the replication
+pool below never forks beside a live one.
+
 A replication re-runs the full estimate pipeline on the same fixed dataset
 with a fresh master seed derived from (master_seed, replication ordinal), so
 only the subsampling randomness varies across replications. Replication m's
@@ -61,6 +69,7 @@ from .sampling import (
 from .store import DatasetHandle, DatasetHeader, open_dataset, write_blocks
 
 _GEN_CHUNK = 1 << 18
+_MIX_ROWS = 1 << 15
 
 METRICS_CSV_COLUMNS = [
     "dataset", "statistic", "n", "K", "M", "alpha", "master_seed", "theta_true",
@@ -91,27 +100,56 @@ def checked_sigma(sigma) -> np.ndarray:
 def generate_bivariate_normal(
     seed: int, n_rows: int, sigma, out_path: str | Path
 ) -> DatasetHeader:
-    """Write n_rows iid mean-zero bivariate normal rows with covariance sigma."""
+    """Write n_rows iid mean-zero bivariate normal rows with covariance sigma.
+
+    Rows are made _GEN_CHUNK at a time in two (_GEN_CHUNK, 2) buffers. While
+    a helper thread fills one with the next chunk's standard normals, this
+    thread mixes the other in place, _MIX_ROWS rows at a time through a small
+    temp, and write_blocks writes that buffer itself; it writes a block before
+    it pulls the next, so the buffer is free to refill. With L = chol(sigma),
+    the mix takes (z0, z1) to (L00 z0, L11 z1 + L10 z0). IEEE addition
+    commutes, so a row has the bytes of L10 z0 + L11 z1 computed in one shot,
+    at any chunk or slice size. The helper thread starts on the second chunk's
+    fill and is joined before this returns or raises.
+
+    _GEN_CHUNK stays 2^18 rows: freeing the two 4 MiB buffers raises glibc's
+    malloc thresholds for the rest of the process, and the estimate timings
+    measured after a generate depend on that.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # loaded only by a generate
+
     chol = np.linalg.cholesky(checked_sigma(sigma))
     n_rows = checked_count(n_rows, "n_rows")
 
     rng = np.random.Generator(np.random.Philox(key=checked_seed(seed)))
 
-    def chunks():
-        # filled in place: arrays made per chunk let peak RSS follow heap layout
-        normals = np.empty((_GEN_CHUNK, 2), dtype=np.float64)
-        block = np.empty((_GEN_CHUNK, 2), dtype=np.float64)
-        for start in range(0, n_rows, _GEN_CHUNK):
-            z = rng.standard_normal(out=normals[:min(_GEN_CHUNK, n_rows - start)])
-            out = block[:len(z)]
-            # explicit lower-triangular mix keeps the output independent of chunking
-            np.multiply(chol[0, 0], z[:, 0], out=out[:, 0])
-            np.multiply(chol[1, 0], z[:, 0], out=out[:, 1])
-            z[:, 1] *= chol[1, 1]
-            out[:, 1] += z[:, 1]
-            yield out  # reusing block is safe: write_blocks writes it before the next pull
+    def fill(buffer, start):
+        return rng.standard_normal(out=buffer[:min(_GEN_CHUNK, n_rows - start)])
 
-    return write_blocks(out_path, 2, chunks())
+    def mix(z, temp):
+        for s in range(0, len(z), len(temp)):
+            z0, z1 = z[s:s + len(temp), 0], z[s:s + len(temp), 1]
+            t = np.multiply(chol[1, 0], z0, out=temp[:len(z0)])
+            z1 *= chol[1, 1]
+            z1 += t
+            z0 *= chol[0, 0]
+
+    def chunks(helper):
+        # allocated once: arrays made per chunk let peak RSS follow heap layout
+        buffers = [np.empty((_GEN_CHUNK, 2), dtype=np.float64) for _ in range(2)]
+        temp = np.empty(min(_GEN_CHUNK, _MIX_ROWS), dtype=np.float64)
+        z = fill(buffers[0], 0)
+        for c, start in enumerate(range(_GEN_CHUNK, n_rows, _GEN_CHUNK)):
+            filling = helper.submit(fill, buffers[(c + 1) % 2], start)
+            mix(z, temp)
+            yield z
+            z = filling.result()
+        mix(z, temp)
+        yield z
+
+    # the helper is joined on every exit, so no thread outlives the call
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        return write_blocks(out_path, 2, chunks(helper))
 
 
 @contextmanager

@@ -66,6 +66,21 @@ def test_missing_command_is_usage_error():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["generate", "--n-rows", "10", "--sigma", "1,0,0,x", "--seed", "1", "--out", "x.sjds"],
+     "subjack generate: error: argument --sigma: needs 4 comma-separated numbers,"
+     " got '1,0,0,x'"),
+    (["bench-sampling", "--rows", "10", "--n", "5,x", "--k", "3", "--seed", "1"],
+     "subjack bench-sampling: error: argument --n: needs comma-separated integers,"
+     " got '5,x'"),
+])
+def test_bad_list_value_names_the_expected_form(capsys, argv, line):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == line
+
+
 def test_runtime_error_exit_code(capsys, tmp_path):
     code, _, err = _run(capsys, ["estimate", "--data", str(tmp_path / "absent.sjds"),
                                  "--stat", "mean:0", "--n", "10", "--k", "5",

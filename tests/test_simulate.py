@@ -73,6 +73,106 @@ def test_generated_bytes_do_not_depend_on_chunking(tmp_path, chunk):
     assert (tmp_path / "chunked.sjds").read_bytes() == (tmp_path / "one_shot.sjds").read_bytes()
 
 
+def _one_shot_bytes(path, seed, rows, sigma):
+    """The bytes of a generated file, from one standard_normal((rows, 2)) draw."""
+    z = np.random.Generator(np.random.Philox(key=seed)).standard_normal((rows, 2))
+    chol = np.linalg.cholesky(np.array(sigma))
+    mixed = np.column_stack([chol[0, 0] * z[:, 0], chol[1, 0] * z[:, 0] + chol[1, 1] * z[:, 1]])
+    write_blocks(path, 2, [mixed])
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("sigma", [PAPER_SIGMA, [[4.0, -1.5], [-1.5, 2.0]]])
+@pytest.mark.parametrize("rows", [1, 3, 4, 5, 8, 9, 13])
+def test_generated_bytes_hold_across_buffer_turns(tmp_path, monkeypatch, rows, sigma):
+    # 4-row chunks mixed 3 rows at a time: each buffer is the last one for some
+    # row count, and chunks end on partial chunks and partial slices
+    monkeypatch.setattr(simulate, "_GEN_CHUNK", 4)
+    monkeypatch.setattr(simulate, "_MIX_ROWS", 3)
+    generate_bivariate_normal(123, rows, sigma, tmp_path / "chunked.sjds")
+    expected = _one_shot_bytes(tmp_path / "one_shot.sjds", 123, rows, sigma)
+    assert (tmp_path / "chunked.sjds").read_bytes() == expected
+
+
+def test_generated_bytes_hold_under_fast_thread_switches(tmp_path, monkeypatch):
+    # 1001 chunks, the helper and the caller switching every microsecond: a
+    # buffer refilled before it was written, or a draw out of turn, moves bytes
+    monkeypatch.setattr(simulate, "_GEN_CHUNK", 4)
+    monkeypatch.setattr(simulate, "_MIX_ROWS", 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        generate_bivariate_normal(5, 4001, PAPER_SIGMA, tmp_path / "chunked.sjds")
+    finally:
+        sys.setswitchinterval(interval)
+    expected = _one_shot_bytes(tmp_path / "one_shot.sjds", 5, 4001, PAPER_SIGMA)
+    assert (tmp_path / "chunked.sjds").read_bytes() == expected
+
+
+def _count_thread_starts(monkeypatch):
+    starts = []
+    real_start = threading.Thread.start
+
+    def counted_start(self):
+        starts.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    return starts
+
+
+@pytest.mark.parametrize("rows, started", [(1, 0), (4, 0), (12, 1)])
+def test_generate_leaves_no_thread_behind(tmp_path, monkeypatch, rows, started):
+    monkeypatch.setattr(simulate, "_GEN_CHUNK", 4)
+    starts = _count_thread_starts(monkeypatch)
+    before = threading.enumerate()
+    generate_bivariate_normal(1, rows, PAPER_SIGMA, tmp_path / "g.sjds")
+    assert len(starts) == started  # one helper, and only from the second chunk on
+    assert threading.enumerate() == before
+
+
+def _fail_after_first_block(monkeypatch, error):
+    """Make generate's write raise error once its first block is written."""
+    real_write_blocks = simulate.write_blocks
+
+    def write_then_fail(path, col_count, blocks):
+        def first_block_then_error():
+            yield next(iter(blocks))
+            raise error
+
+        return real_write_blocks(path, col_count, first_block_then_error())
+
+    monkeypatch.setattr(simulate, "write_blocks", write_then_fail)
+
+
+@pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()])
+def test_failed_generate_joins_its_helper(tmp_path, monkeypatch, error):
+    monkeypatch.setattr(simulate, "_GEN_CHUNK", 4)
+    _fail_after_first_block(monkeypatch, error)
+    starts = _count_thread_starts(monkeypatch)
+    before = threading.enumerate()
+    with pytest.raises(type(error)):
+        generate_bivariate_normal(1, 12, PAPER_SIGMA, tmp_path / "g.sjds")
+    assert len(starts) == 1
+    assert threading.enumerate() == before
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_interrupted_generate_cli_keeps_the_existing_out(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(simulate, "_GEN_CHUNK", 4)
+    out_path = tmp_path / "kept.sjds"
+    generate_bivariate_normal(2, 7, PAPER_SIGMA, out_path)
+    kept = out_path.read_bytes()
+    _fail_after_first_block(monkeypatch, KeyboardInterrupt())
+    before = threading.enumerate()
+    code = cli.main(["generate", "--n-rows", "12", "--sigma", "25,10,10,5", "--seed", "1",
+                     "--out", str(out_path)])
+    assert (code, capsys.readouterr()) == (2, ("", "subjack: error: interrupted\n"))
+    assert threading.enumerate() == before
+    assert out_path.read_bytes() == kept
+    assert list(tmp_path.iterdir()) == [out_path]
+
+
 def test_generate_rejects_bad_sigma(tmp_path):
     with pytest.raises(ValueError, match="positive definite"):
         generate_bivariate_normal(1, 10, [[1.0, 2.0], [2.0, 1.0]], tmp_path / "x.sjds")
