@@ -75,6 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--columns", required=True, help="comma-separated column names")
     p.add_argument("--transform", choices=["none", "signed_log"], default="none")
     p.add_argument("--out", required=True, help="output dataset path")
+    p.set_defaults(run=_cmd_convert)
 
     p = sub.add_parser("generate", help="write a synthetic bivariate normal dataset")
     p.add_argument("--n-rows", type=int, required=True)
@@ -82,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="covariance, row-major: s11,s12,s21,s22")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_generate)
 
     p = sub.add_parser("estimate", help="estimate a statistic from subsamples")
     p.add_argument("--data", required=True, help="dataset path")
@@ -95,11 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.add_argument("--mode", choices=["jds", "sos"], default="jds",
                    help="which point estimate centers the confidence interval")
+    p.set_defaults(run=_cmd_estimate)
 
     p = sub.add_parser("simulate", help="run Monte Carlo replications from a config file")
     p.add_argument("--config", required=True, help="JSON config (object or list)")
     p.add_argument("--out", help="write full per-replication detail as JSON here")
     p.add_argument("--workers", type=int, default=0, help="0 = auto")
+    p.set_defaults(run=_cmd_simulate)
 
     p = sub.add_parser("bench-sampling", help="time both sampling modes on a grid")
     p.add_argument("--rows", type=int, required=True, help="dataset row count, --data's if given")
@@ -108,22 +112,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--data", help="reuse an existing dataset instead of generating")
+    p.set_defaults(run=_cmd_bench)
 
     return parser
 
 
-def _cmd_convert(args) -> int:
-    header = convert_csv(args.csv, args.columns.split(","), args.transform, args.out)
-    print(json.dumps({"path": args.out, "row_count": header.row_count,
+def _print_written(path, header) -> int:
+    print(json.dumps({"path": path, "row_count": header.row_count,
                       "col_count": header.col_count}))
     return 0
+
+
+def _cmd_convert(args) -> int:
+    header = convert_csv(args.csv, args.columns.split(","), args.transform, args.out)
+    return _print_written(args.out, header)
 
 
 def _cmd_generate(args) -> int:
     header = generate_bivariate_normal(args.seed, args.n_rows, args.sigma, args.out)
-    print(json.dumps({"path": args.out, "row_count": header.row_count,
-                      "col_count": header.col_count}))
-    return 0
+    return _print_written(args.out, header)
 
 
 def _cmd_estimate(args) -> int:
@@ -181,15 +188,6 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "convert": _cmd_convert,
-    "generate": _cmd_generate,
-    "estimate": _cmd_estimate,
-    "simulate": _cmd_simulate,
-    "bench-sampling": _cmd_bench,
-}
-
-
 def _interrupt(signum, frame):
     raise KeyboardInterrupt
 
@@ -198,7 +196,7 @@ def main(argv=None) -> int:
     previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except KeyboardInterrupt:
         print("subjack: error: interrupted", file=sys.stderr)
         return 2

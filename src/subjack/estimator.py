@@ -214,17 +214,10 @@ def jackknife_subsample(stat: Statistic, features, k: int = 0) -> SubsampleResul
     return jackknife_chunk(stat, arr[None], [k])[0]
 
 
-def aggregate(
-    results: list[SubsampleResult],
-    n_rows: int,
-    *,
-    alpha: float = 0.05,
-    master_seed: int = 0,
-    statistic_name: str = "",
-    rng_id: str = "",
-    ci_center: str = "jds",
-) -> EstimateReport:
-    """Combine per-subsample results into the final report.
+def aggregate(results: list[SubsampleResult], n_rows: int, **report) -> EstimateReport:
+    """Combine per-subsample results into the final report; report takes
+    summarize's keywords (alpha, master_seed, statistic_name, rng_id,
+    ci_center).
 
     Results may arrive in any order; they are reduced in ascending k.
     """
@@ -234,18 +227,8 @@ def aggregate(
     n = ordered[0].n
     if any(r.n != n for r in ordered):
         raise ValueError("subsample results mix different n")
-    return summarize(
-        [r.theta_hat for r in ordered],
-        [r.theta_jds for r in ordered],
-        [r.ss for r in ordered],
-        n,
-        n_rows,
-        alpha=alpha,
-        master_seed=master_seed,
-        statistic_name=statistic_name,
-        rng_id=rng_id,
-        ci_center=ci_center,
-    )
+    return summarize([r.theta_hat for r in ordered], [r.theta_jds for r in ordered],
+                     [r.ss for r in ordered], n, n_rows, **report)
 
 
 def summarize(
@@ -337,11 +320,14 @@ def normal_quantile(p: float) -> float:
 
 
 def checked_alpha(alpha: float) -> float:
-    """alpha as a float, if it is a number in (0, 1)."""
+    """alpha as a float, if it is a number in (2**-53, 1): below that,
+    1 - alpha/2 rounds to 1 and the interval has no quantile."""
     if not isinstance(alpha, numbers.Real):
         raise ValueError(f"alpha must be a number, got {alpha!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise ValueError(f"alpha must exceed 2**-53, got {alpha}")
     return float(alpha)
 
 

@@ -317,8 +317,11 @@ def _replicate(handle: DatasetHandle, cfg: ExperimentConfig, m: int):
     return m, report.theta_sos, report.theta_jds, report.se
 
 
-def _exit_with_parent() -> None:
-    """End this process once the process that started the pool is gone."""
+def _start_worker(taken) -> None:
+    """Pool initializer: keep the pool's replication counter, and end this
+    process once the process that started the pool is gone."""
+    global _taken
+    _taken = taken
     parent = multiprocessing.parent_process()
 
     def watch():
@@ -328,13 +331,6 @@ def _exit_with_parent() -> None:
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()
-
-
-def _start_worker(taken) -> None:
-    """Pool initializer: keep the pool's replication counter and watch the parent."""
-    global _taken
-    _taken = taken
-    _exit_with_parent()
 
 
 def _take(M: int) -> int | None:

@@ -234,10 +234,11 @@ def convert_csv(
 ) -> DatasetHeader:
     """Ingest named numeric CSV columns into a dataset file.
 
-    The first CSV row is the header; an empty string (after stripping
-    whitespace) is a missing value and drops the whole row. Any other value
-    float() rejects, and nan or +-inf, is an error, unless an earlier selected
-    cell of its row is empty. The error names the first bad row and, within
+    The CSV is UTF-8, with or without a leading byte-order mark. The first
+    CSV row is the header; an empty string (after stripping whitespace) is a
+    missing value and drops the whole row. Any other value float() rejects,
+    and nan or +-inf, is an error, unless an earlier selected cell of its row
+    is empty. The error names the first bad row and, within
     it, the first bad selected column. With transform="signed_log" each
     retained value is mapped through signed_log. An out_path that is the CSV,
     or a link to it, is refused before the header is read.
@@ -253,7 +254,7 @@ def convert_csv(
         raise ValueError("at least one column must be selected")
 
     try:
-        fh = open(csv_path, "r", encoding="utf-8", newline="")
+        fh = open(csv_path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise StoreError(f"cannot read CSV: {exc}") from exc
     with fh:

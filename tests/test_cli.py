@@ -473,6 +473,8 @@ _GOOD_CONFIG = {"dataset": {"rows": 2000, "seed": 1}, "statistic": "mean:0", "n"
                  "statistic 'corr:0,4' needs column 4, dataset has 2", id="too-few-columns"),
     pytest.param({**_GOOD_CONFIG, "alpha": "0.1"},
                  "alpha must be a number, got '0.1'", id="alpha-string"),
+    pytest.param({**_GOOD_CONFIG, "alpha": 1e-300},
+                 "alpha must exceed 2**-53, got 1e-300", id="alpha-below-2-to-the-minus-53"),
     pytest.param({**_GOOD_CONFIG, "theta_true": "x"},
                  "theta_true must be a number or null, got 'x'", id="theta-true-string"),
     pytest.param({**_GOOD_CONFIG, "statistic": 5},

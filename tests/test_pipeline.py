@@ -102,6 +102,9 @@ def test_non_integer_counts_are_rejected(sigma_dataset, n, K, message):
     (0.0, "alpha must lie in (0, 1), got 0.0"),
     (float("nan"), "alpha must lie in (0, 1), got nan"),
     ("0.1", "alpha must be a number, got '0.1'"),
+    # 1 - alpha/2 rounds to 1, where the interval's quantile is undefined
+    (1e-300, "alpha must exceed 2**-53, got 1e-300"),
+    (2**-53, "alpha must exceed 2**-53, got 1.1102230246251565e-16"),
 ])
 def test_bad_alpha_fails_before_any_draw(sigma_dataset, monkeypatch, alpha, message):
     from subjack import pipeline
@@ -110,6 +113,14 @@ def test_bad_alpha_fails_before_any_draw(sigma_dataset, monkeypatch, alpha, mess
     with pytest.raises(ValueError) as exc:
         run_estimate(sigma_dataset, "mean:0", 10, 5, 1, alpha=alpha)
     assert str(exc.value) == message
+
+
+def test_smallest_alpha_above_2_to_the_minus_53_gives_a_finite_interval(sigma_dataset):
+    alpha = math.nextafter(2**-53, 1)
+    report = run_estimate(sigma_dataset, "mean:0", 10, 5, 1, alpha=alpha)
+    assert report.alpha == alpha
+    assert math.isfinite(report.ci_low) and math.isfinite(report.ci_high)
+    assert report.ci_low < report.theta_jds < report.ci_high
 
 
 def test_bad_ci_center_fails_before_any_draw(sigma_dataset, monkeypatch):

@@ -185,6 +185,13 @@ def test_generate_rejects_bad_sigma(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("sigma", [[[1, "a"], [0, 1]], "abc"])
+def test_sigma_that_is_not_numbers_is_rejected(sigma):
+    with pytest.raises(ValueError) as exc:
+        simulate.checked_sigma(sigma)
+    assert str(exc.value) == "sigma must be a 2x2 covariance matrix"
+
+
 @pytest.mark.parametrize("seed", [-1, 2**128])
 def test_generate_rejects_seed_outside_key_range(tmp_path, seed):
     with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128\)"):

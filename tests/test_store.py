@@ -279,6 +279,39 @@ def test_writer_requires_rows(tmp_path):
     assert not (tmp_path / "empty.sjds").exists()
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 2), (3, 0)])
+def test_empty_shape_rejected(tmp_path, rows, cols):
+    path = tmp_path / "empty-shape.sjds"
+    path.write_bytes(store.DatasetHeader(rows, cols).pack())
+    with pytest.raises(StoreError) as exc:
+        open_dataset(path)
+    assert str(exc.value) == f"{path}: invalid shape ({rows} x {cols})"
+
+
+def test_writer_requires_a_column(tmp_path):
+    with pytest.raises(ValueError) as exc:
+        write_blocks(tmp_path / "none.sjds", 0, [])
+    assert str(exc.value) == "col_count must be >= 1"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_block_of_the_wrong_width_keeps_old_file(tmp_path):
+    path = _valid_file(tmp_path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError) as exc:
+        write_blocks(path, 2, [np.ones((3, 2)), np.ones((3, 3))])
+    assert str(exc.value) == "block must be 2-d with 2 columns"
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_write_matrix_requires_a_matrix(tmp_path):
+    with pytest.raises(ValueError) as exc:
+        write_matrix(np.ones(3), tmp_path / "vector.sjds")
+    assert str(exc.value) == "rows must be a 2-d matrix"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failed_write_keeps_old_file(tmp_path):
     path = _valid_file(tmp_path)
     before = path.read_bytes()
@@ -486,6 +519,40 @@ def test_convert_reads_utf8_under_a_posix_locale(tmp_path):
     assert outs["posix"] == outs["default"]
     rows = open_dataset(tmp_path / "posix.sjds").read_records([0, 1]).rows
     np.testing.assert_array_equal(rows[:, 0], [1.5, -2.0])
+
+
+@pytest.mark.parametrize("transform", ["none", "signed_log"])
+def test_convert_skips_a_leading_byte_order_mark(tmp_path, transform):
+    # spreadsheet "CSV UTF-8" exports begin with U+FEFF
+    text = "x,y\n1.5,-4\n2,5\n-3,6\n"
+    plain = _write_csv(tmp_path / "plain.csv", text)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    for csv_path in (plain, marked):
+        convert_csv(csv_path, ["x", "y"], transform, csv_path.with_suffix(".sjds"))
+    assert (tmp_path / "marked.sjds").read_bytes() == (tmp_path / "plain.sjds").read_bytes()
+
+
+@pytest.mark.parametrize("raw", [b"", b"\xef\xbb\xbf"], ids=["0-bytes", "byte-order-mark"])
+def test_convert_empty_file(tmp_path, raw):
+    csv_path = tmp_path / "empty.csv"
+    csv_path.write_bytes(raw)
+    with pytest.raises(StoreError) as exc:
+        convert_csv(csv_path, ["x"], "none", tmp_path / "empty.sjds")
+    assert str(exc.value) == f"{csv_path}: empty file"
+    assert list(tmp_path.iterdir()) == [csv_path]
+
+
+@pytest.mark.parametrize("columns, transform, message", [
+    (["x"], "log", "unknown transform 'log'"),
+    ([], "none", "at least one column must be selected"),
+])
+def test_convert_rejects_bad_arguments(tmp_path, columns, transform, message):
+    csv_path = _write_csv(tmp_path / "g.csv", "x,y\n1,2\n")
+    with pytest.raises(ValueError) as exc:
+        convert_csv(csv_path, columns, transform, tmp_path / "g.sjds")
+    assert str(exc.value) == message
+    assert list(tmp_path.iterdir()) == [csv_path]
 
 
 def test_convert_missing_file(tmp_path):
